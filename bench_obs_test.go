@@ -33,7 +33,7 @@ type benchObsRow struct {
 // 50ms, and an armed flight recorder — the worst realistic scrape pressure.
 func benchObsRun(t *testing.T, observatory bool, parallel int) benchObsRow {
 	t.Helper()
-	e := benchGenCampaign(false)
+	e := goldenMLineCampaign()
 	e.Name = "bench-obs-mline"
 	e.Programs = 8
 	e.Parallel = parallel

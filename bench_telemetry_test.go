@@ -30,7 +30,7 @@ type benchTelemetryRow struct {
 // instrumentation site reduces to one pointer check.
 func benchTelemetryRun(t *testing.T, trace bool, parallel int) benchTelemetryRow {
 	t.Helper()
-	e := benchGenCampaign(false)
+	e := goldenMLineCampaign()
 	e.Name = "bench-telemetry-mline"
 	e.Programs = 8
 	e.Parallel = parallel

@@ -239,11 +239,10 @@ func BenchmarkAblation_PathPairSplit(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_IncrementalSolver compares the shared-prefix incremental
-// generator (one solver per path pair + slot, activation-literal class
-// scopes) against the legacy fresh-solver-per-stream mode on an
-// MLine-support program — the configuration BENCH_gen.json tracks at
-// campaign scale (`make bench-gen`).
+// BenchmarkAblation_IncrementalSolver measures the shared-prefix
+// incremental generator (one solver per path pair + slot,
+// activation-literal class scopes) on an MLine-support program: 20 test
+// cases per iteration.
 func BenchmarkAblation_IncrementalSolver(b *testing.B) {
 	r := rand.New(rand.NewSource(2021))
 	tpl := gen.Sequence{Parts: []gen.Template{gen.TemplateA{}, gen.TemplateA{}, gen.TemplateA{}}}
@@ -252,25 +251,19 @@ func BenchmarkAblation_IncrementalSolver(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"incremental", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g := core.NewGenerator(pl.Paths, core.Config{
-					Seed: int64(i), Refined: true, Registers: pl.Registers,
-					Support: obs.MLine{Geom: obs.DefaultGeometry},
-					Legacy:  mode.legacy,
-				})
-				for t := 0; t < 20; t++ {
-					if _, ok := g.Next(); !ok {
-						break
-					}
+	b.Run("incremental", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g := core.NewGenerator(pl.Paths, core.Config{
+				Seed: int64(i), Refined: true, Registers: pl.Registers,
+				Support: obs.MLine{Geom: obs.DefaultGeometry},
+			})
+			for t := 0; t < 20; t++ {
+				if _, ok := g.Next(); !ok {
+					break
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAblation_Projection compares the single tagged instrumentation

@@ -57,11 +57,10 @@ func goldenOf(r *scamv.Result) golden {
 // profile with FailPolicy Degrade. The fault injector is rebuilt per call:
 // its per-identity attempt counters are run-local state, and sharing one
 // injector across runs would advance the schedule.
-func chaosExperiment(monolithic bool) scamv.Experiment {
+func chaosExperiment(parallel int) scamv.Experiment {
 	u, _ := scamv.MPartExperiments(false, 5, 6, 2021)
 	u.Repeats = 2
-	u.Parallel = 4
-	u.Monolithic = monolithic
+	u.Parallel = parallel
 	u.FailPolicy = scamv.Degrade
 	u.Retries = 2
 	prof, err := faultinject.Named("heavy")
@@ -74,28 +73,28 @@ func chaosExperiment(monolithic bool) scamv.Experiment {
 
 // TestChaosGoldenDeterministic pins the resilience contract: the same seed
 // and chaos profile produce the same degraded Result — across repeat runs
-// and across both engines — and the heavy profile actually degrades
+// and across Parallel settings — and the heavy profile actually degrades
 // something, so the equality is not vacuous.
 func TestChaosGoldenDeterministic(t *testing.T) {
-	staged1, err := scamv.Run(chaosExperiment(false))
+	staged1, err := scamv.Run(chaosExperiment(4))
 	if err != nil {
-		t.Fatalf("staged chaos campaign failed under Degrade: %v", err)
+		t.Fatalf("chaos campaign failed under Degrade: %v", err)
 	}
-	staged2, err := scamv.Run(chaosExperiment(false))
+	staged2, err := scamv.Run(chaosExperiment(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := scamv.Run(chaosExperiment(true))
+	seq, err := scamv.Run(chaosExperiment(1))
 	if err != nil {
-		t.Fatalf("monolithic chaos campaign failed under Degrade: %v", err)
+		t.Fatalf("sequential chaos campaign failed under Degrade: %v", err)
 	}
 
-	g1, g2, gm := goldenOf(staged1), goldenOf(staged2), goldenOf(mono)
+	g1, g2, gs := goldenOf(staged1), goldenOf(staged2), goldenOf(seq)
 	if !reflect.DeepEqual(g1, g2) {
 		t.Errorf("repeat run diverged:\nrun1: %+v\nrun2: %+v", g1, g2)
 	}
-	if !reflect.DeepEqual(g1, gm) {
-		t.Errorf("staged and monolithic diverged:\nstaged: %+v\nmono:   %+v", g1, gm)
+	if !reflect.DeepEqual(g1, gs) {
+		t.Errorf("parallel=4 and parallel=1 diverged:\nparallel=4: %+v\nparallel=1: %+v", g1, gs)
 	}
 	if g1.SkippedTests == 0 && g1.Retries == 0 {
 		t.Error("heavy chaos profile neither skipped nor retried anything: the golden equality is vacuous")
@@ -111,7 +110,7 @@ func TestChaosGoldenDeterministic(t *testing.T) {
 // TestChaosFailFastAborts pins the default policy: the same chaos campaign
 // without Degrade fails instead of silently skipping.
 func TestChaosFailFastAborts(t *testing.T) {
-	e := chaosExperiment(false)
+	e := chaosExperiment(4)
 	e.FailPolicy = scamv.FailFast
 	e.Retries = 0
 	if _, err := scamv.Run(e); err == nil {
@@ -156,56 +155,52 @@ func TestDegradeHealthyMatchesFailFast(t *testing.T) {
 
 // TestCancelDuringChaosHangDoesNotLeak cancels a campaign wedged on
 // unbounded injected hangs and checks every pipeline goroutine exits: the
-// platform must take the ctx.Done arm, and the engines must unwind rather
+// platform must take the ctx.Done arm, and the engine must unwind rather
 // than wait for an execution that never returns.
 func TestCancelDuringChaosHangDoesNotLeak(t *testing.T) {
-	for _, mono := range []bool{false, true} {
-		before := runtime.NumGoroutine()
+	before := runtime.NumGoroutine()
 
-		u, _ := scamv.MPartExperiments(false, 4, 6, 2021)
-		u.Repeats = 2
-		u.Parallel = 4
-		u.Monolithic = mono
-		// Every call hangs until cancellation: the campaign cannot progress.
-		u.Platform = faultinject.New(nil, faultinject.Profile{Name: "wedge", HangProb: 1}, 1)
+	u, _ := scamv.MPartExperiments(false, 4, 6, 2021)
+	u.Repeats = 2
+	u.Parallel = 4
+	// Every call hangs until cancellation: the campaign cannot progress.
+	u.Platform = faultinject.New(nil, faultinject.Profile{Name: "wedge", HangProb: 1}, 1)
 
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := scamv.RunContext(ctx, u)
-			done <- err
-		}()
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Fatalf("mono=%v: wedged campaign completed successfully", mono)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Logf("mono=%v: campaign error after cancel: %v", mono, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("mono=%v: campaign did not return after cancel", mono)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := scamv.RunContext(ctx, u)
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("wedged campaign completed successfully")
 		}
+		if !errors.Is(err, context.Canceled) {
+			t.Logf("campaign error after cancel: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("campaign did not return after cancel")
+	}
 
-		leaked := true
-		var after int
-		for i := 0; i < 200; i++ {
-			runtime.Gosched()
-			after = runtime.NumGoroutine()
-			if after <= before {
-				leaked = false
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
+	leaked := true
+	var after int
+	for i := 0; i < 200; i++ {
+		runtime.Gosched()
+		after = runtime.NumGoroutine()
+		if after <= before {
+			leaked = false
+			break
 		}
-		if leaked {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("mono=%v: goroutines leaked after cancel: before=%d after=%d\n%s",
-				mono, before, after, buf[:n])
-		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if leaked {
+		buf := make([]byte, 1<<20)
+		n := runtime.Stack(buf, true)
+		t.Fatalf("goroutines leaked after cancel: before=%d after=%d\n%s", before, after, buf[:n])
 	}
 }
 

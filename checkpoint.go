@@ -24,7 +24,7 @@ import (
 // prefix generated under another would produce a Result no uninterrupted run
 // could — silently.
 //
-// Deliberately excluded: Parallel, Monolithic, ExecTimeout, and RetryBackoff
+// Deliberately excluded: Parallel, ExecTimeout, and RetryBackoff
 // are count-invariant (scheduling and wall-clock only), so a campaign may
 // legitimately resume with different values — e.g. fewer workers on a smaller
 // machine. Template, Platform, and AttackerView are code, not data, and
@@ -45,9 +45,6 @@ type fingerprintConfig struct {
 	TimingAttacker  bool    `json:"timing_attacker"`
 	RandomPhaseProb float64 `json:"random_phase_prob"`
 	MaxConflicts    int64   `json:"max_conflicts"`
-	LegacySolver    bool    `json:"legacy_solver"`
-	Portfolio       int     `json:"portfolio"`
-	SharedCache     bool    `json:"shared_cache"`
 	FailPolicy      int     `json:"fail_policy"`
 	QuarantineAfter int     `json:"quarantine_after"`
 	Retries         int     `json:"retries"`
@@ -75,9 +72,6 @@ func journalFingerprint(e *Experiment) string {
 		TimingAttacker:  e.TimingAttacker,
 		RandomPhaseProb: e.RandomPhaseProb,
 		MaxConflicts:    e.MaxConflicts,
-		LegacySolver:    e.LegacySolver,
-		Portfolio:       e.Portfolio,
-		SharedCache:     e.SharedCache,
 		FailPolicy:      int(e.FailPolicy),
 		QuarantineAfter: e.QuarantineAfter,
 		Retries:         e.Retries,
@@ -115,7 +109,6 @@ func toJournalRecord(p int, out *programResult) journal.ProgramRecord {
 		Quarantined:     out.quarantined,
 		Retries:         out.retries,
 		Timeouts:        out.timeouts,
-		ShapeKeys:       out.shapeKeys,
 		Logs:            out.records,
 	}
 	for _, s := range out.skips {
@@ -155,7 +148,6 @@ func fromJournalRecord(jr journal.ProgramRecord) *programResult {
 		quarantined:     jr.Quarantined,
 		retries:         jr.Retries,
 		timeouts:        jr.Timeouts,
-		shapeKeys:       jr.ShapeKeys,
 		records:         jr.Logs,
 	}
 	for _, s := range jr.Skips {

@@ -69,7 +69,6 @@ func run() int {
 		reportDif = flag.String("report-diff", "", "diff this baseline trace against the trace given as the positional argument, then exit")
 		strict    = flag.Bool("strict", false, "with -report/-report-diff: fail on a torn trailing line instead of dropping it with a warning")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "per-stage worker budget (programs in flight)")
-		mono      = flag.Bool("monolithic", false, "disable the staged engine (no stage overlap or metrics; A/B baseline)")
 		trace     = flag.String("trace", "", "write a JSONL telemetry trace (spans, solver queries, verdicts) to this file")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/scamv, /debug/vars and /debug/pprof on this address")
 		progress  = flag.Bool("progress", false, "print a live progress line on stderr")
@@ -77,8 +76,6 @@ func run() int {
 		retries   = flag.Int("retries", 0, "retry budget per execution for transient failures")
 		policy    = flag.String("fail-policy", "failfast", "on exhausted retries: failfast (abort campaign) or degrade (skip and continue)")
 		chaos     = flag.String("chaos", "off", "fault-injection profile: off, light, or heavy (deterministic per -seed)")
-		portfolio = flag.Int("portfolio", 0, "race N diversified CDCL workers per solver query (0 = single solver; results identical at any N)")
-		shared    = flag.Bool("shared-cache", false, "share one blast cache per template shape across the campaign (results identical on or off)")
 		matrix    = flag.Bool("matrix", false, "run each campaign as a platform matrix over -platforms (default a53,a72,m0)")
 		platNames = flag.String("platforms", "", "comma-separated platform presets for the matrix (implies -matrix); see -platforms=help")
 		flightDir = flag.String("flight-dir", "", "arm the anomaly flight recorder; bundles (ring + counters + goroutine dump) land under this directory")
@@ -238,8 +235,6 @@ func run() int {
 		e.ExecTimeout = *execTO
 		e.Retries = *retries
 		e.FailPolicy = failPolicy
-		e.Portfolio = *portfolio
-		e.SharedCache = *shared
 		e.Platforms = platforms
 		e.Drain = drain
 		if chaosProf.Name != "off" {
@@ -277,7 +272,6 @@ func run() int {
 		}
 		unguided.Log, refined.Log = db, db
 		unguided.Parallel, refined.Parallel = *parallel, *parallel
-		unguided.Monolithic, refined.Monolithic = *mono, *mono
 		unguided.Trace, refined.Trace = tr, tr
 		applyResilience(&unguided)
 		applyResilience(&refined)
@@ -304,7 +298,6 @@ func run() int {
 		}
 		e.Log = db
 		e.Parallel = *parallel
-		e.Monolithic = *mono
 		e.Trace = tr
 		applyResilience(&e)
 		fmt.Printf("== %s ==\n", title)

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -50,8 +51,6 @@ type resumeGolden struct {
 	Skips               []scamv.Skip
 	Retries             int
 	Timeouts            int
-	ShapeHits           int64
-	ShapeMisses         int64
 	Matrix              []matrixGolden
 }
 
@@ -84,8 +83,6 @@ func resumeGoldenOf(r *scamv.Result) resumeGolden {
 		Skips:               r.Skips,
 		Retries:             r.Retries,
 		Timeouts:            r.Timeouts,
-		ShapeHits:           r.ShapeHits,
-		ShapeMisses:         r.ShapeMisses,
 	}
 	for i := range r.Matrix {
 		m := &r.Matrix[i]
@@ -104,17 +101,14 @@ func resumeGoldenOf(r *scamv.Result) resumeGolden {
 }
 
 // crashCampaign is the shared campaign under test: small enough for CI,
-// with the acceptance features on — platform matrix, portfolio solving, and
-// the campaign shape cache — on either engine. Large enough in programs
-// that a drain or kill lands while the staged pipeline still has unproduced
-// programs (the pipeline absorbs ~4 stages × 4 buffered items in flight).
-func crashCampaign(monolithic bool) scamv.Experiment {
-	u, _ := scamv.MPartExperiments(false, 24, 5, 2021)
+// with a two-platform matrix on. Large enough in programs that a drain or
+// kill lands while the staged pipeline still has unproduced programs: at
+// Parallel 4 the stage buffers and workers hold roughly 30 programs in
+// flight, so 24 let the source finish before the first drain.
+func crashCampaign() scamv.Experiment {
+	u, _ := scamv.MPartExperiments(false, 40, 5, 2021)
 	u.Repeats = 2
 	u.Parallel = 4
-	u.Monolithic = monolithic
-	u.Portfolio = 2
-	u.SharedCache = true
 	plats, err := scamv.PlatformsFromPresets("a53", "a72")
 	if err != nil {
 		panic(err)
@@ -172,97 +166,92 @@ func loadLogNormalized(t *testing.T, path string) []logdb.Record {
 	return recs
 }
 
-// TestResumeEquivalence is the tentpole contract on both engines: interrupt
-// a journaled campaign by a graceful drain partway through, resume it in a
-// second "process" (a fresh journal open), and require the stitched Result —
-// counts, matrix rows, skips, shape-cache totals — and the experiment log to
-// equal an uninterrupted run's.
+// TestResumeEquivalence is the resume contract: interrupt a journaled
+// campaign by a graceful drain partway through, resume it in a second
+// "process" (a fresh journal open), and require the stitched Result —
+// counts, matrix rows, skips — and the experiment log to equal an
+// uninterrupted run's.
 func TestResumeEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mono bool
-	}{{"staged", false}, {"monolithic", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
+	t.Run("staged", func(t *testing.T) {
+		dir := t.TempDir()
 
-			// Uninterrupted reference, no journal.
-			ref := crashCampaign(tc.mono)
-			refLog := filepath.Join(dir, "ref.jsonl")
-			db, err := logdb.Open(refLog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Log = db
-			want := resumeGoldenOf(mustRun(t, ref))
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if want.Experiments == 0 || want.ShapeMisses == 0 || len(want.Matrix) != 2 {
-				t.Fatalf("reference campaign is vacuous: %+v", want)
-			}
+		// Uninterrupted reference, no journal.
+		ref := crashCampaign()
+		refLog := filepath.Join(dir, "ref.jsonl")
+		db, err := logdb.Open(refLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Log = db
+		want := resumeGoldenOf(mustRun(t, ref))
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if want.Experiments == 0 || len(want.Matrix) != 2 {
+			t.Fatalf("reference campaign is vacuous: %+v", want)
+		}
 
-			// Interrupted run: journal armed, drain after a handful of
-			// platform executions.
-			jdir := filepath.Join(dir, "state")
-			e1 := crashCampaign(tc.mono)
-			j1, err := journal.Open(jdir, e1.Name, journal.Options{Every: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			da := newDrainAfter(nil, 20)
-			e1.Platform = da
-			e1.Drain = da.ch
-			e1.Journal = j1
-			r1 := mustRun(t, e1)
-			if err := j1.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if r1.Programs >= e1.Programs {
-				t.Fatalf("drain did not interrupt: %d/%d programs completed", r1.Programs, e1.Programs)
-			}
-			if !r1.Drained {
-				t.Fatalf("partial run not marked Drained: %+v", r1)
-			}
-			if r1.Checkpoints == 0 {
-				t.Fatalf("no checkpoints written by the interrupted run")
-			}
+		// Interrupted run: journal armed, drain after a handful of
+		// platform executions.
+		jdir := filepath.Join(dir, "state")
+		e1 := crashCampaign()
+		j1, err := journal.Open(jdir, e1.Name, journal.Options{Every: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		da := newDrainAfter(nil, 20)
+		e1.Platform = da
+		e1.Drain = da.ch
+		e1.Journal = j1
+		r1 := mustRun(t, e1)
+		if err := j1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if r1.Programs >= e1.Programs {
+			t.Fatalf("drain did not interrupt: %d/%d programs completed", r1.Programs, e1.Programs)
+		}
+		if !r1.Drained {
+			t.Fatalf("partial run not marked Drained: %+v", r1)
+		}
+		if r1.Checkpoints == 0 {
+			t.Fatalf("no checkpoints written by the interrupted run")
+		}
 
-			// Resumed run: fresh journal open on the same state, fresh log.
-			e2 := crashCampaign(tc.mono)
-			j2, err := journal.Open(jdir, e2.Name, journal.Options{Resume: true, Every: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			resLog := filepath.Join(dir, "resumed.jsonl")
-			db2, err := logdb.Open(resLog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e2.Journal = j2
-			e2.Log = db2
-			r2 := mustRun(t, e2)
-			if err := db2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := j2.Close(); err != nil {
-				t.Fatal(err)
-			}
+		// Resumed run: fresh journal open on the same state, fresh log.
+		e2 := crashCampaign()
+		j2, err := journal.Open(jdir, e2.Name, journal.Options{Resume: true, Every: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resLog := filepath.Join(dir, "resumed.jsonl")
+		db2, err := logdb.Open(resLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2.Journal = j2
+		e2.Log = db2
+		r2 := mustRun(t, e2)
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j2.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			if r2.RestoredPrograms != r1.Programs {
-				t.Fatalf("resume restored %d programs, interrupted run completed %d",
-					r2.RestoredPrograms, r1.Programs)
-			}
-			if r2.Drained {
-				t.Fatalf("resumed run marked Drained: %+v", r2)
-			}
-			if got := resumeGoldenOf(r2); !reflect.DeepEqual(got, want) {
-				t.Fatalf("resumed Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
-			}
-			if got, wantRecs := loadLogNormalized(t, resLog), loadLogNormalized(t, refLog); !reflect.DeepEqual(got, wantRecs) {
-				t.Fatalf("resumed log differs from uninterrupted log: %d vs %d records", len(got), len(wantRecs))
-			}
-		})
-	}
+		if r2.RestoredPrograms != r1.Programs {
+			t.Fatalf("resume restored %d programs, interrupted run completed %d",
+				r2.RestoredPrograms, r1.Programs)
+		}
+		if r2.Drained {
+			t.Fatalf("resumed run marked Drained: %+v", r2)
+		}
+		if got := resumeGoldenOf(r2); !reflect.DeepEqual(got, want) {
+			t.Fatalf("resumed Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
+		}
+		if got, wantRecs := loadLogNormalized(t, resLog), loadLogNormalized(t, refLog); !reflect.DeepEqual(got, wantRecs) {
+			t.Fatalf("resumed log differs from uninterrupted log: %d vs %d records", len(got), len(wantRecs))
+		}
+	})
 }
 
 // TestResumeEquivalenceDegradeChaos runs the same contract under the heavy
@@ -272,7 +261,7 @@ func TestResumeEquivalence(t *testing.T) {
 // the fault schedule for the non-restored suffix.
 func TestResumeEquivalenceDegradeChaos(t *testing.T) {
 	chaotic := func() scamv.Experiment {
-		e := chaosExperiment(false)
+		e := chaosExperiment(4)
 		// Enough programs that the staged pipeline cannot absorb the whole
 		// campaign in its stage buffers before the drain fires (see
 		// crashCampaign for the same sizing argument; the buffers hold
@@ -323,7 +312,7 @@ func TestResumeEquivalenceDegradeChaos(t *testing.T) {
 // must fail loudly, not splice incompatible prefixes.
 func TestResumeFingerprintMismatch(t *testing.T) {
 	jdir := t.TempDir()
-	e1 := crashCampaign(false)
+	e1 := crashCampaign()
 	j1, err := journal.Open(jdir, e1.Name, journal.Options{Every: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +323,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2 := crashCampaign(false)
+	e2 := crashCampaign()
 	e2.Seed++ // count-affecting change
 	j2, err := journal.Open(jdir, e2.Name, journal.Options{Resume: true})
 	if err != nil {
@@ -347,24 +336,52 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestResumePreChangeFingerprint: a journal written before the removed
+// solving modes were deleted carries legacy_solver, portfolio and
+// shared_cache in its fingerprint. Resuming it fails with the mismatch
+// error instead of silently splicing onto the prefix.
+func TestResumePreChangeFingerprint(t *testing.T) {
+	e, _ := scamv.MPartExperiments(false, 2, 3, 2021)
+	jdir := t.TempDir()
+	src := filepath.Join("testdata", "prechange_journal", journal.Sanitize(e.Name), "journal.jsonl")
+	hdr, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(jdir, journal.Sanitize(e.Name)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jdir, journal.Sanitize(e.Name), "journal.jsonl"), hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Open(jdir, e.Name, journal.Options{Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	e.Journal = j
+	_, err = scamv.Run(e)
+	if err == nil || !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Fatalf("resume of a pre-change journal: err = %v, want a fingerprint mismatch", err)
+	}
+	if !strings.Contains(err.Error(), `"shared_cache"`) {
+		t.Errorf("mismatch error does not show the journaled fingerprint: %v", err)
+	}
+}
+
 // TestDrainBeforeStart: a drain signal that lands before the campaign begins
 // yields an empty, Drained, resumable Result — not an error.
 func TestDrainBeforeStart(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mono bool
-	}{{"staged", false}, {"monolithic", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := crashCampaign(tc.mono)
-			ch := make(chan struct{})
-			close(ch)
-			e.Drain = ch
-			r := mustRun(t, e)
-			if r.Programs != 0 || !r.Drained {
-				t.Fatalf("got programs=%d drained=%v, want 0/true", r.Programs, r.Drained)
-			}
-		})
-	}
+	t.Run("staged", func(t *testing.T) {
+		e := crashCampaign()
+		ch := make(chan struct{})
+		close(ch)
+		e.Drain = ch
+		r := mustRun(t, e)
+		if r.Programs != 0 || !r.Drained {
+			t.Fatalf("got programs=%d drained=%v, want 0/true", r.Programs, r.Drained)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -372,12 +389,9 @@ func TestDrainBeforeStart(t *testing.T) {
 
 // crashChildEnv builds the command that re-executes this test binary as a
 // crash child running one journaled campaign in dir.
-func crashChildCmd(dir string, mono, armSignals bool) *exec.Cmd {
+func crashChildCmd(dir string, armSignals bool) *exec.Cmd {
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), "SCAMV_CRASH_CHILD="+dir)
-	if mono {
-		cmd.Env = append(cmd.Env, "SCAMV_CRASH_MONO=1")
-	}
 	if armSignals {
 		cmd.Env = append(cmd.Env, "SCAMV_CRASH_ARM=1")
 	}
@@ -394,7 +408,7 @@ func exitCode(err error) int {
 	return -1
 }
 
-// TestCrashSIGKILLChaos is the kill-at-random-point proof on both engines:
+// TestCrashSIGKILLChaos is the kill-at-random-point proof:
 // repeatedly start a journaled campaign in a subprocess, SIGKILL it after an
 // escalating delay, and resume — the Result assembled across the carcasses
 // must equal an uninterrupted in-process run's.
@@ -405,63 +419,58 @@ func TestCrashSIGKILLChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess chaos loop skipped in -short")
 	}
-	for _, tc := range []struct {
-		name string
-		mono bool
-	}{{"staged", false}, {"monolithic", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			want := resumeGoldenOf(mustRun(t, crashCampaign(tc.mono)))
+	t.Run("staged", func(t *testing.T) {
+		want := resumeGoldenOf(mustRun(t, crashCampaign()))
 
-			dir := t.TempDir()
-			delays := []time.Duration{
-				20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond,
-				90 * time.Millisecond, 140 * time.Millisecond, 220 * time.Millisecond,
-				350 * time.Millisecond, 600 * time.Millisecond, time.Second,
-			}
-			completed := false
-			for attempt := 0; attempt < len(delays)+1 && !completed; attempt++ {
-				cmd := crashChildCmd(dir, tc.mono, false)
-				if err := cmd.Start(); err != nil {
-					t.Fatal(err)
+		dir := t.TempDir()
+		delays := []time.Duration{
+			20 * time.Millisecond, 40 * time.Millisecond, 60 * time.Millisecond,
+			90 * time.Millisecond, 140 * time.Millisecond, 220 * time.Millisecond,
+			350 * time.Millisecond, 600 * time.Millisecond, time.Second,
+		}
+		completed := false
+		for attempt := 0; attempt < len(delays)+1 && !completed; attempt++ {
+			cmd := crashChildCmd(dir, false)
+			if attempt == len(delays) {
+				// Last attempt runs to completion (CombinedOutput starts it).
+				out, err := cmd.CombinedOutput()
+				if err != nil {
+					t.Fatalf("final resume run failed: %v\n%s", err, out)
 				}
-				if attempt < len(delays) {
-					time.Sleep(delays[attempt])
-					_ = cmd.Process.Kill() // SIGKILL; may race a clean exit
-					code := exitCode(cmd.Wait())
-					if code == 0 {
-						completed = true
-					}
-					t.Logf("attempt %d: killed after %v (exit %d)", attempt, delays[attempt], code)
-				} else {
-					// Last attempt runs to completion.
-					out, err := cmd.CombinedOutput()
-					if err != nil {
-						t.Fatalf("final resume run failed: %v\n%s", err, out)
-					}
-					completed = true
-				}
+				completed = true
+				continue
 			}
-
-			// Verify the assembled journal in-process: a resume restores every
-			// program and reproduces the uninterrupted Result.
-			e := crashCampaign(tc.mono)
-			j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
-			if err != nil {
+			if err := cmd.Start(); err != nil {
 				t.Fatal(err)
 			}
-			e.Journal = j
-			r := mustRun(t, e)
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
+			time.Sleep(delays[attempt])
+			_ = cmd.Process.Kill() // SIGKILL; may race a clean exit
+			code := exitCode(cmd.Wait())
+			if code == 0 {
+				completed = true
 			}
-			if r.RestoredPrograms != e.Programs {
-				t.Fatalf("journal restored %d/%d programs after chaos loop", r.RestoredPrograms, e.Programs)
-			}
-			if got := resumeGoldenOf(r); !reflect.DeepEqual(got, want) {
-				t.Fatalf("post-chaos Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
+			t.Logf("attempt %d: killed after %v (exit %d)", attempt, delays[attempt], code)
+		}
+
+		// Verify the assembled journal in-process: a resume restores every
+		// program and reproduces the uninterrupted Result.
+		e := crashCampaign()
+		j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Journal = j
+		r := mustRun(t, e)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if r.RestoredPrograms != e.Programs {
+			t.Fatalf("journal restored %d/%d programs after chaos loop", r.RestoredPrograms, e.Programs)
+		}
+		if got := resumeGoldenOf(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("post-chaos Result differs from uninterrupted run:\n got %+v\nwant %+v", got, want)
+		}
+	})
 }
 
 // TestGracefulSIGINT drives the two-signal shutdown protocol end to end in a
@@ -475,10 +484,10 @@ func TestGracefulSIGINT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess signal test skipped in -short")
 	}
-	want := resumeGoldenOf(mustRun(t, crashCampaign(false)))
+	want := resumeGoldenOf(mustRun(t, crashCampaign()))
 
 	dir := t.TempDir()
-	cmd := crashChildCmd(dir, false, true)
+	cmd := crashChildCmd(dir, true)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -494,12 +503,12 @@ func TestGracefulSIGINT(t *testing.T) {
 	}
 	t.Logf("SIGINT child exited %d", code)
 
-	out, err := crashChildCmd(dir, false, false).CombinedOutput()
+	out, err := crashChildCmd(dir, false).CombinedOutput()
 	if err != nil {
 		t.Fatalf("resume child failed: %v\n%s", err, out)
 	}
 
-	e := crashCampaign(false)
+	e := crashCampaign()
 	j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -525,7 +534,7 @@ func TestSecondSignalAborts(t *testing.T) {
 		t.Skip("subprocess signal test skipped in -short")
 	}
 	dir := t.TempDir()
-	cmd := crashChildCmd(dir, false, true)
+	cmd := crashChildCmd(dir, true)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +551,7 @@ func TestSecondSignalAborts(t *testing.T) {
 	}
 	t.Logf("double-SIGINT child exited %d", code)
 
-	e := crashCampaign(false)
+	e := crashCampaign()
 	j, err := journal.Open(dir, e.Name, journal.Options{Resume: true, Every: 1})
 	if err != nil {
 		t.Fatal(err)

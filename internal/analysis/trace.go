@@ -83,14 +83,6 @@ type TraceReport struct {
 	Quarantines  int64
 	BreakerTrips int64
 
-	// Portfolio and shape-cache aggregates (schema v3 fields); all zero for
-	// a single-solver, cache-off campaign or an older trace. PortfolioWins
-	// tallies deciding queries per worker (index = worker-1).
-	PortfolioWins []int64
-	SharedClauses int64
-	ShapeHits     int64
-	ShapeMisses   int64
-
 	// Platforms holds the per-platform verdict breakdown of matrix campaigns
 	// (schema v4 "platform" records), sorted by platform name; empty for
 	// single-platform traces.
@@ -164,13 +156,6 @@ func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
 			pe.BlastHits += rec.BlastHits
 			pe.BlastMisses += rec.BlastMisses
 			pe.AckReads += rec.AckReads
-			r.SharedClauses += rec.SharedClauses
-			if rec.Winner > 0 {
-				for len(r.PortfolioWins) < rec.Winner {
-					r.PortfolioWins = append(r.PortfolioWins, 0)
-				}
-				r.PortfolioWins[rec.Winner-1]++
-			}
 		case "verdict":
 			r.Verdicts++
 			execHist.Observe(d)
@@ -203,12 +188,6 @@ func AnalyzeTrace(recs []telemetry.Record) *TraceReport {
 		case "breaker":
 			if rec.To == "open" {
 				r.BreakerTrips++
-			}
-		case "shape":
-			if rec.Hit {
-				r.ShapeHits++
-			} else {
-				r.ShapeMisses++
 			}
 		}
 	}
@@ -265,22 +244,6 @@ func (r *TraceReport) String() string {
 	if r.Retries > 0 || r.Timeouts > 0 || r.Skips > 0 || r.Quarantines > 0 || r.BreakerTrips > 0 {
 		fmt.Fprintf(&sb, "resilience: %d retries (%d timeouts), %d skips, %d quarantined, %d breaker trips\n",
 			r.Retries, r.Timeouts, r.Skips, r.Quarantines, r.BreakerTrips)
-	}
-
-	// Portfolio/shape-cache lines only when those features ran.
-	if len(r.PortfolioWins) > 0 {
-		fmt.Fprintf(&sb, "portfolio wins by worker:")
-		for i, w := range r.PortfolioWins {
-			fmt.Fprintf(&sb, " w%d=%d", i+1, w)
-		}
-		if r.SharedClauses > 0 {
-			fmt.Fprintf(&sb, "  (%d clauses imported from the share pool)", r.SharedClauses)
-		}
-		sb.WriteString("\n")
-	}
-	if r.ShapeHits+r.ShapeMisses > 0 {
-		fmt.Fprintf(&sb, "shape cache: %d/%d hits (%d distinct shapes encoded)\n",
-			r.ShapeHits, r.ShapeHits+r.ShapeMisses, r.ShapeMisses)
 	}
 
 	fmt.Fprintf(&sb, "\nstage latency (per program):\n")

@@ -149,3 +149,36 @@ func TestProgramTableCap(t *testing.T) {
 		t.Errorf("program table not capped:\n%s", out)
 	}
 }
+
+// TestAnalyzeTraceIgnoresRemovedModeRecords loads a committed schema-v5
+// trace written by a campaign with portfolio racing and the shape cache on.
+// Its "winner" and "shared_clauses" query fields and its "shape" records
+// belong to removed solving modes: they must load, be ignored, and leave
+// the report and the diff working.
+func TestAnalyzeTraceIgnoresRemovedModeRecords(t *testing.T) {
+	recs, err := telemetry.LoadTrace("testdata/v5_removed_modes.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shapes int
+	for _, r := range recs {
+		if r.Kind == "shape" {
+			shapes++
+		}
+	}
+	if shapes == 0 {
+		t.Fatal("fixture carries no shape records: it no longer tests what it should")
+	}
+	r := AnalyzeTrace(recs)
+	if len(r.Campaigns) != 2 || r.Queries != 19 || r.Verdicts != 12 {
+		t.Errorf("report counts: %d campaigns, %d queries, %d verdicts; want 2, 19, 12",
+			len(r.Campaigns), r.Queries, r.Verdicts)
+	}
+	out := r.String()
+	if !strings.Contains(out, "solver query latency") {
+		t.Errorf("report missing the query table:\n%s", out)
+	}
+	if d := DiffTraces(recs, recs).String(); !strings.Contains(d, "stage") {
+		t.Errorf("self-diff rendered no stage table:\n%s", d)
+	}
+}

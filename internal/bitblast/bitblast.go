@@ -20,9 +20,8 @@ import (
 // for structurally identical terms even when they were built independently
 // (e.g. the same observation address renamed once per incremental query).
 type Blaster struct {
-	// S is the backing solver — a single sat.Solver or a sat.Portfolio; the
-	// blaster only needs the Engine surface (NewVar/AddClause/BoostVar/Value).
-	S sat.Engine
+	// S is the backing solver.
+	S *sat.Solver
 
 	t, f sat.Lit // constant true / false literals
 
@@ -31,11 +30,6 @@ type Blaster struct {
 	boolCache map[expr.BoolExpr]sat.Lit
 	varBits   map[string][]sat.Lit
 	boolVars  map[string]sat.Lit
-
-	// parent, when set, is a frozen blaster whose caches serve as read-only
-	// fallback layers (see CloneOnto). Cache writes always go to this
-	// blaster's own maps.
-	parent *Blaster
 
 	stats CacheStats
 }
@@ -60,7 +54,7 @@ func (c CacheStats) Misses() int64 { return c.BVMisses + c.BoolMisses }
 func (b *Blaster) CacheStats() CacheStats { return b.stats }
 
 // New returns a Blaster over solver s.
-func New(s sat.Engine) *Blaster {
+func New(s *sat.Solver) *Blaster {
 	b := &Blaster{
 		S:         s,
 		intern:    expr.NewInterner(),
@@ -73,47 +67,6 @@ func New(s sat.Engine) *Blaster {
 	b.f = b.t.Neg()
 	s.AddClause(b.t)
 	return b
-}
-
-// CloneOnto returns a blaster over eng that reuses this blaster's encoding
-// work: the interner and both CNF caches become read-only parent layers, so
-// everything already blasted here resolves to the same literals without
-// copying the (large) maps. eng must hold the same variable space as this
-// blaster's solver — in practice a sat.Solver.Clone of it, or a portfolio
-// built from such clones. After the first CloneOnto this blaster must stay
-// frozen (no further Assert/BV/Bool calls); concurrent clones of one frozen
-// blaster are then safe, which is what the campaign shape cache relies on.
-//
-// Cache statistics start at zero in the clone: hits against the parent
-// layers count as hits of the clone.
-func (b *Blaster) CloneOnto(eng sat.Engine) *Blaster {
-	nb := &Blaster{
-		S:         eng,
-		t:         b.t,
-		f:         b.f,
-		intern:    b.intern.NewChild(),
-		bvCache:   make(map[expr.BVExpr][]sat.Lit),
-		boolCache: make(map[expr.BoolExpr]sat.Lit),
-		varBits:   make(map[string][]sat.Lit, len(b.varBits)),
-		boolVars:  make(map[string]sat.Lit, len(b.boolVars)),
-		parent:    b,
-	}
-	// Variable registries are small (one entry per named variable) and are
-	// consulted on hot read paths; copy them flat. The bit slices themselves
-	// are immutable and shared.
-	for p := b; p != nil; p = p.parent {
-		for name, bits := range p.varBits {
-			if _, ok := nb.varBits[name]; !ok {
-				nb.varBits[name] = bits
-			}
-		}
-		for name, l := range p.boolVars {
-			if _, ok := nb.boolVars[name]; !ok {
-				nb.boolVars[name] = l
-			}
-		}
-	}
-	return nb
 }
 
 func (b *Blaster) newLit() sat.Lit { return sat.MkLit(b.S.NewVar(), false) }
@@ -298,11 +251,9 @@ func (b *Blaster) litsValue(bits []sat.Lit) uint64 {
 // BV encodes a bitvector expression, returning its literal vector LSB first.
 func (b *Blaster) BV(e expr.BVExpr) []sat.Lit {
 	e = b.intern.Intern(e).(expr.BVExpr)
-	for p := b; p != nil; p = p.parent {
-		if bits, ok := p.bvCache[e]; ok {
-			b.stats.BVHits++
-			return bits
-		}
+	if bits, ok := b.bvCache[e]; ok {
+		b.stats.BVHits++
+		return bits
 	}
 	b.stats.BVMisses++
 	bits := b.bv(e)
@@ -512,11 +463,9 @@ func (b *Blaster) eqBits(x, y []sat.Lit) sat.Lit {
 // to it.
 func (b *Blaster) Bool(e expr.BoolExpr) sat.Lit {
 	e = b.intern.Intern(e).(expr.BoolExpr)
-	for p := b; p != nil; p = p.parent {
-		if l, ok := p.boolCache[e]; ok {
-			b.stats.BoolHits++
-			return l
-		}
+	if l, ok := b.boolCache[e]; ok {
+		b.stats.BoolHits++
+		return l
 	}
 	b.stats.BoolMisses++
 	l := b.boolE(e)

@@ -68,26 +68,15 @@ type Config struct {
 	// concrete values for each. Ghost and shadow registers are excluded by
 	// the caller.
 	Registers []string
-	// Legacy restores the pre-incremental behavior: one fresh solver per
+	// legacy restores the pre-incremental behavior: one fresh solver per
 	// (path pair, class, slot) stream, re-eliminating memory and re-blasting
 	// the pair relation for every coverage class. The default (false) shares
 	// one solver per (path pair, slot): the relation and register-diff are
 	// asserted once and each class constraint is an activation-literal scope
-	// on top. Kept for A/B benchmarking of the shared-prefix reuse.
-	Legacy bool
-
-	// Portfolio, when >= 1, backs every solver with a portfolio of that many
-	// diversified CDCL workers racing each query. Worker 0 is canonical, so
-	// results are byte-identical to Portfolio = 0 at any size (see
-	// sat.Portfolio). 0 keeps the classic single-solver backend.
-	Portfolio int
-
-	// ShapeCache, when non-nil, is the campaign-scoped prototype cache:
-	// pair-relation solvers for alpha-equivalent formula shapes (programs of
-	// one template differing only in register allocation) are cloned from one
-	// shared encoding instead of re-blasted per program. Ignored in Legacy
-	// mode. Safe to share across concurrent generators.
-	ShapeCache *smt.ShapeCache
+	// on top. Only this package's tests set it: the fresh-solver generator
+	// is the reference every Sat/Unsat outcome of the shared one is checked
+	// against.
+	legacy bool
 
 	// Trace, when non-nil, receives one telemetry query event per solver
 	// query, carrying the effort deltas (SAT conflicts/decisions/
@@ -293,13 +282,6 @@ type Generator struct {
 	QueriesSat    int
 	QueriesUnsat  int
 	QueriesFailed int
-
-	// ShapeKeys records the campaign shape-cache key hash of every lookup
-	// this generator performed, in lookup order (pair-state creation is
-	// single-threaded per program, so the order is deterministic). The
-	// campaign journal persists the list for crash-safe resume accounting;
-	// empty when no ShapeCache is configured.
-	ShapeKeys []uint64
 }
 
 // NewGenerator prepares test-case generation over the symbolic paths of an
@@ -377,50 +359,33 @@ func (g *Generator) prefixFormulas(a, b, slot int) []expr.BoolExpr {
 	return out
 }
 
-// assertPrefix installs the prefix formulas on a fresh solver (legacy path).
+// assertPrefix installs the prefix formulas on a fresh solver.
 func (g *Generator) assertPrefix(s *smt.Solver, a, b, slot int) {
 	for _, f := range g.prefixFormulas(a, b, slot) {
 		s.Assert(f)
 	}
 }
 
-// newPairState builds the shared solver for one (path pair, slot), cloning a
-// cached prototype when the campaign shape cache is enabled.
+// newPairState builds the shared solver for one (path pair, slot).
 func (g *Generator) newPairState(pk pairKey) *pairState {
-	seed := g.cfg.Seed*1000003 + int64(pk.a)*8191 + int64(pk.b)*131 + int64(pk.slot)
-	opts := smt.Options{
-		Seed:            seed,
+	s := smt.New(smt.Options{
+		Seed:            g.cfg.Seed*1000003 + int64(pk.a)*8191 + int64(pk.b)*131 + int64(pk.slot),
 		RandomPhaseProb: g.cfg.RandomPhaseProb,
 		MaxConflicts:    g.cfg.MaxConflicts,
-		Portfolio:       g.cfg.Portfolio,
+	})
+	if g.cfg.Ctx != nil {
+		s.SetContext(g.cfg.Ctx)
 	}
-	var s *smt.Solver
-	if g.cfg.ShapeCache != nil {
-		var hit bool
-		var kh uint64
-		s, hit, kh = g.cfg.ShapeCache.InstantiateTagged(opts, g.prefixFormulas(pk.a, pk.b, pk.slot))
-		g.ShapeKeys = append(g.ShapeKeys, kh)
-		g.cfg.Trace.ShapeLookup(g.cfg.Prog, hit)
-		if g.cfg.Ctx != nil {
-			s.SetContext(g.cfg.Ctx)
-		}
-	} else {
-		s = smt.New(opts)
-		if g.cfg.Ctx != nil {
-			s.SetContext(g.cfg.Ctx)
-		}
-		g.assertPrefix(s, pk.a, pk.b, pk.slot)
-	}
+	g.assertPrefix(s, pk.a, pk.b, pk.slot)
 	return &pairState{solver: s, prefixNames: s.VarNames(), handles: make(map[int]smt.Handle)}
 }
 
 func (g *Generator) newStream(k genKey) *stream {
-	if g.cfg.Legacy {
+	if g.cfg.legacy {
 		s := smt.New(smt.Options{
 			Seed:            g.streamSeed(k),
 			RandomPhaseProb: g.cfg.RandomPhaseProb,
 			MaxConflicts:    g.cfg.MaxConflicts,
-			Portfolio:       g.cfg.Portfolio,
 		})
 		if g.cfg.Ctx != nil {
 			s.SetContext(g.cfg.Ctx)
@@ -503,7 +468,7 @@ func (g *Generator) Next() (*TestCase, bool) {
 			t0 = time.Now()
 			if st != nil {
 				before = st.activeSolver().Stats()
-			} else if !g.cfg.Legacy {
+			} else if !g.cfg.legacy {
 				if ps := g.pairs[pairKey{a: k.a, b: k.b, slot: k.slot}]; ps != nil {
 					before = ps.solver.Stats()
 				}
@@ -537,7 +502,6 @@ func (g *Generator) Next() (*TestCase, bool) {
 				Status: statusName(status), Dur: time.Since(t0),
 				Conflicts: d.Conflicts, Decisions: d.Decisions, Propagations: d.Propagations,
 				BlastHits: d.BlastHits, BlastMisses: d.BlastMisses, AckReads: d.AckermannReads,
-				Winner: solver.LastWinner(), SharedClauses: d.SharedClauses,
 			})
 		}
 		switch status {

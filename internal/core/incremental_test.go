@@ -24,7 +24,7 @@ func mlineConfig(seed int64, legacy bool) (tpl gen.Template, m obs.ModelPair, cf
 		Seed:    seed,
 		Refined: true,
 		Support: obs.MLine{Geom: obs.DefaultGeometry},
-		Legacy:  legacy,
+		legacy:  legacy,
 	}
 	return tpl, m, cfg
 }

@@ -168,13 +168,6 @@ type ProgramRecord struct {
 	Retries      int    `json:"retries,omitempty"`
 	Timeouts     int    `json:"timeouts,omitempty"`
 
-	// ShapeKeys are the campaign shape-cache keys this program's generator
-	// looked up, in lookup order. Replaying the restored key lists
-	// reconstructs deterministic hit/miss totals and pre-marks the keys as
-	// known, so a resumed campaign's ShapeHits/ShapeMisses equal an
-	// uninterrupted run's even though prototypes are rebuilt after restart.
-	ShapeKeys []uint64 `json:"shape_keys,omitempty"`
-
 	Platforms []PlatformTally `json:"platforms,omitempty"`
 
 	// Logs are the program's experiment-log records, re-emitted into

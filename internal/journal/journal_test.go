@@ -15,7 +15,6 @@ func rec(p int) ProgramRecord {
 		Experiments: 10 + p,
 		Queries:     3 * p,
 		FirstCETest: -1,
-		ShapeKeys:   []uint64{uint64(p) * 7, 42},
 		Skips:       []Skip{{Prog: p, Test: 1, Reason: "x"}},
 		Logs:        []logdb.Record{{Experiment: "e", Program: "prog", TestIndex: p, Verdict: "indistinguishable"}},
 	}
@@ -60,7 +59,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	for i, g := range got {
 		want := rec(i)
-		if g.Prog != i || g.Experiments != want.Experiments || len(g.ShapeKeys) != 2 ||
+		if g.Prog != i || g.Experiments != want.Experiments ||
 			len(g.Skips) != 1 || len(g.Logs) != 1 || g.Logs[0].TestIndex != i {
 			t.Fatalf("record %d round-tripped wrong: %+v", i, g)
 		}

@@ -1,14 +1,12 @@
 package sat
 
-// Config is the solver's search configuration, extracted so portfolio
-// workers can run diversified searches over one shared problem encoding.
-// The zero value (plus a seed) reproduces the classic configuration that
-// New has always used: zero default phase, no randomized decisions, VSIDS
-// decay 0.95, Luby restarts with base 100, no conflict budget.
+// Config is the solver's search configuration. The zero value (plus a seed)
+// is the classic configuration New uses: zero default phase, no randomized
+// decisions, no conflict budget. VSIDS decay (varDecay) and the Luby restart
+// base (restartBase) are fixed.
 type Config struct {
-	// Seed drives every randomized decision (random phases/variables and
-	// nothing else); two solvers with equal configs and inputs behave
-	// identically.
+	// Seed drives the randomized phase decisions; two solvers with equal
+	// configs and inputs behave identically.
 	Seed int64
 
 	// DefaultPhase is the polarity used for a decision variable with no
@@ -17,82 +15,17 @@ type Config struct {
 	DefaultPhase bool
 
 	// RandomPhaseProb is the probability a decision takes a random
-	// polarity; RandomVarProb the probability it picks a random variable.
+	// polarity.
 	RandomPhaseProb float64
-	RandomVarProb   float64
-
-	// VarDecay is the VSIDS activity decay factor in (0,1); 0 means the
-	// classic 0.95. Smaller values make the search more reactive to recent
-	// conflicts, larger values more conservative.
-	VarDecay float64
-
-	// RestartBase scales the restart intervals; 0 means the classic 100.
-	RestartBase int64
-
-	// RestartGeometric switches from the Luby sequence to a geometric
-	// (×1.5) restart schedule.
-	RestartGeometric bool
 
 	// MaxConflicts, when positive, bounds each Solve call; exceeding it
 	// returns Unknown.
 	MaxConflicts int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.VarDecay == 0 {
-		c.VarDecay = 0.95
-	}
-	if c.RestartBase == 0 {
-		c.RestartBase = 100
-	}
-	return c
-}
-
-// mixSeed derives a decorrelated seed from (seed, i) via splitmix64, so
-// portfolio workers explore genuinely different random sequences rather
-// than offset copies of one stream.
-func mixSeed(seed int64, i int) int64 {
-	z := uint64(seed) + uint64(i+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-// DefaultPortfolioConfigs returns n diversified worker configurations for a
-// portfolio built from base. Index 0 is base verbatim — it is the canonical
-// worker whose models a Portfolio reports, which is what makes portfolio
-// results independent of n (see Portfolio). Helpers vary the VSIDS decay,
-// restart policy, and phase randomization, each with a seed mixed from
-// base.Seed so reruns reproduce.
-func DefaultPortfolioConfigs(base Config, n int) []Config {
-	if n < 1 {
-		n = 1
-	}
-	cfgs := make([]Config, n)
-	cfgs[0] = base
-	for i := 1; i < n; i++ {
-		c := base
-		c.Seed = mixSeed(base.Seed, i)
-		switch (i - 1) % 4 {
-		case 0:
-			// Aggressive decay + geometric restarts: dives deep fast.
-			c.VarDecay = 0.85
-			c.RestartGeometric = true
-		case 1:
-			// Conservative decay, long Luby intervals: steady refuter.
-			c.VarDecay = 0.99
-			c.RestartBase = 256
-		case 2:
-			// Frequent restarts with phase noise: model diversity.
-			c.VarDecay = 0.95
-			c.RestartBase = 32
-			c.RandomPhaseProb = 0.02
-		case 3:
-			// Very reactive VSIDS with mild variable noise.
-			c.VarDecay = 0.75
-			c.RandomVarProb = 0.01
-		}
-		cfgs[i] = c
-	}
-	return cfgs
-}
+// varDecay is the VSIDS activity decay factor; restartBase scales the Luby
+// restart intervals.
+const (
+	varDecay    = 0.95
+	restartBase = 100
+)

@@ -14,10 +14,7 @@
 //
 // Clauses live in a flat arena (one literal slice plus fixed-size headers,
 // referenced by index) rather than as individually allocated objects. That
-// keeps the allocator and garbage collector out of the encoding hot path and
-// makes Clone a handful of bulk copies, which is what the campaign-scoped
-// shape cache (internal/smt) relies on to instantiate prototype solvers
-// cheaply.
+// keeps the allocator and garbage collector out of the encoding hot path.
 package sat
 
 import (
@@ -55,9 +52,8 @@ const crefNone cref = -1
 
 // clsHead locates one clause in the literal arena.
 type clsHead struct {
-	off    int32
-	size   int32
-	learnt bool
+	off  int32
+	size int32
 }
 
 // Status is the result of a Solve call.
@@ -108,41 +104,19 @@ type Solver struct {
 	// polarity instead of the saved/default phase. Non-zero values
 	// diversify models during enumeration.
 	RandomPhaseProb float64
-	// RandomVarProb is the probability that a decision picks a uniformly
-	// random unassigned variable instead of the VSIDS choice.
-	RandomVarProb float64
-	rng           *rand.Rand
-
-	// varDecay and restart policy come from Config (New uses the classic
-	// defaults: decay 0.95, Luby restarts with base 100).
-	varDecay    float64
-	restartBase int64
-	restartGeom bool
+	rng             *rand.Rand
 
 	unsat bool // top-level conflict found
-	dirty bool // propagation has permuted clause lits / watch lists
 
 	// Stats
 	Conflicts    int64
 	Decisions    int64
 	Propagations int64
 	Learnt       int64
-	SharedIn     int64 // clauses imported from a ClauseShare pool
-	SharedOut    int64 // clauses exported to a ClauseShare pool
 
 	// MaxConflicts, when positive, aborts Solve with Unknown after that
 	// many conflicts within one Solve call.
 	MaxConflicts int64
-
-	// Clause sharing (portfolio workers only; see ClauseShare). share is
-	// consulted at restart boundaries: learnt clauses up to shareMaxLen
-	// literals are exported, and — when shareImport is set — foreign clauses
-	// are imported as learnt clauses.
-	share       *ClauseShare
-	shareCursor int // pool index imported up to
-	shareImport bool
-	shareMaxLen int
-	lastExport  int // heads index exported up to
 
 	// Scratch buffers reused across conflicts; their contents never survive
 	// a call.
@@ -179,8 +153,6 @@ type Stats struct {
 	Decisions    int64
 	Propagations int64
 	Learnt       int64
-	SharedIn     int64
-	SharedOut    int64
 }
 
 // Stats snapshots the search counters.
@@ -190,8 +162,6 @@ func (s *Solver) Stats() Stats {
 		Decisions:    s.Decisions,
 		Propagations: s.Propagations,
 		Learnt:       s.Learnt,
-		SharedIn:     s.SharedIn,
-		SharedOut:    s.SharedOut,
 	}
 }
 
@@ -203,8 +173,6 @@ func (st Stats) Sub(prev Stats) Stats {
 		Decisions:    st.Decisions - prev.Decisions,
 		Propagations: st.Propagations - prev.Propagations,
 		Learnt:       st.Learnt - prev.Learnt,
-		SharedIn:     st.SharedIn - prev.SharedIn,
-		SharedOut:    st.SharedOut - prev.SharedOut,
 	}
 }
 
@@ -216,16 +184,11 @@ func New(seed int64) *Solver {
 
 // NewWithConfig returns an empty solver with the given search configuration.
 func NewWithConfig(cfg Config) *Solver {
-	cfg = cfg.withDefaults()
 	s := &Solver{varInc: 1, rng: rand.New(rand.NewSource(cfg.Seed))}
 	s.heap = newVarHeap(&s.activity)
 	s.DefaultPhase = cfg.DefaultPhase
 	s.RandomPhaseProb = cfg.RandomPhaseProb
-	s.RandomVarProb = cfg.RandomVarProb
 	s.MaxConflicts = cfg.MaxConflicts
-	s.varDecay = cfg.VarDecay
-	s.restartBase = cfg.RestartBase
-	s.restartGeom = cfg.RestartGeometric
 	return s
 }
 
@@ -268,10 +231,10 @@ func (s *Solver) clauseLits(ci cref) []Lit {
 }
 
 // pushClause appends a clause to the arena, copying lits.
-func (s *Solver) pushClause(lits []Lit, learnt bool) cref {
+func (s *Solver) pushClause(lits []Lit) cref {
 	off := int32(len(s.arena))
 	s.arena = append(s.arena, lits...)
-	s.heads = append(s.heads, clsHead{off: off, size: int32(len(lits)), learnt: learnt})
+	s.heads = append(s.heads, clsHead{off: off, size: int32(len(lits))})
 	return cref(len(s.heads) - 1)
 }
 
@@ -324,7 +287,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	ci := s.pushClause(out, false)
+	ci := s.pushClause(out)
 	s.attach(ci)
 	return true
 }
@@ -350,7 +313,6 @@ func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 // propagate performs unit propagation; it returns a conflicting clause
 // reference or crefNone.
 func (s *Solver) propagate() cref {
-	s.dirty = true // watch lists and clause lit order may be permuted below
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
@@ -475,7 +437,7 @@ func (s *Solver) bumpVar(v int) {
 	s.heap.update(v)
 }
 
-func (s *Solver) decayActivities() { s.varInc /= s.varDecay }
+func (s *Solver) decayActivities() { s.varInc /= varDecay }
 
 // BoostVar raises a variable's initial activity so it is decided early.
 // The bit-blaster boosts the bits of named input variables: together with
@@ -528,15 +490,6 @@ func (s *Solver) cancelUntil(lvl int32) {
 }
 
 func (s *Solver) pickBranchVar() int {
-	if s.RandomVarProb > 0 && s.rng.Float64() < s.RandomVarProb {
-		// Try a few random picks before falling back to VSIDS.
-		for try := 0; try < 8; try++ {
-			v := s.rng.Intn(s.NumVars())
-			if s.assigns[v] == 0 {
-				return v
-			}
-		}
-	}
 	for !s.heap.empty() {
 		v := s.heap.pop()
 		if s.assigns[v] == 0 {
@@ -575,18 +528,8 @@ func luby(x int64) int64 {
 	return 1 << seq
 }
 
-// restartBudget returns the conflict budget of the r-th restart interval
-// under the configured policy: Luby (default) or geometric (×1.5).
-func (s *Solver) restartBudget(r int64) int64 {
-	if s.restartGeom {
-		b := s.restartBase
-		for i := int64(0); i < r; i++ {
-			b += b >> 1
-		}
-		return b
-	}
-	return luby(r) * s.restartBase
-}
+// restartBudget returns the conflict budget of the r-th restart interval.
+func restartBudget(r int64) int64 { return luby(r) * restartBase }
 
 // Solve searches for a satisfying assignment consistent with the given
 // assumption literals. It returns Sat, Unsat, or Unknown (only when
@@ -620,7 +563,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 	}
 	restart := int64(0)
-	budget := s.restartBudget(restart)
+	budget := restartBudget(restart)
 	conflictsHere := int64(0)
 	startConflicts := s.Conflicts
 
@@ -638,7 +581,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], crefNone)
 			} else {
-				ci := s.pushClause(learnt, true)
+				ci := s.pushClause(learnt)
 				s.Learnt++
 				s.attach(ci)
 				s.uncheckedEnqueue(learnt[0], ci)
@@ -653,20 +596,14 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				return Unknown
 			}
 			if conflictsHere >= budget {
-				// Restart. The boundary is also the cheap place to notice a
-				// lost portfolio race: frequently-restarting helpers stop
-				// burning cycles well before the every-1024th-conflict poll.
+				// Restart. The boundary is also a cheap place to notice
+				// cancellation between the every-1024th-conflict polls.
 				conflictsHere = 0
 				restart++
-				budget = s.restartBudget(restart)
+				budget = restartBudget(restart)
 				s.cancelUntil(0)
 				if s.ctx != nil && s.ctx.Err() != nil {
 					return Unknown
-				}
-				if s.share != nil {
-					if !s.shareSync() {
-						return Unsat
-					}
 				}
 			}
 			continue

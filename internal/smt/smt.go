@@ -36,12 +36,6 @@ type Options struct {
 	RandomPhaseProb float64
 	// MaxConflicts bounds the search; 0 means unbounded.
 	MaxConflicts int64
-	// Portfolio, when >= 1, backs the solver with a sat.Portfolio of that
-	// many diversified CDCL workers racing each query (worker 0 runs the
-	// configuration above and supplies all models, so results are
-	// deterministic across portfolio sizes; see sat.Portfolio). 0 keeps the
-	// classic single-solver backend.
-	Portfolio int
 }
 
 // satConfig maps Options onto the base sat search configuration.
@@ -67,15 +61,8 @@ type readInfo struct {
 // over a shared prefix reuse one solver (one memory elimination, one
 // bit-blasting) instead of rebuilding it per query.
 type Solver struct {
-	sat sat.Engine
+	sat *sat.Solver
 	bl  *bitblast.Blaster
-
-	// rn, when non-nil, translates between the caller's variable names and
-	// the canonical placeholder names of the shape-cache prototype this
-	// solver was instantiated from. Formulas are renamed into canonical
-	// space on the way in; models, handles and name listings are renamed
-	// back on the way out. Solvers built by New run without translation.
-	rn *renamer
 
 	reads          map[string][]readInfo // per base memory variable
 	readSeen       map[*expr.Read]*expr.Var
@@ -106,13 +93,7 @@ func (h Handle) Names() []string { return h.names }
 
 // New returns a fresh solver.
 func New(opts Options) *Solver {
-	cfg := opts.satConfig()
-	var eng sat.Engine
-	if opts.Portfolio >= 1 {
-		eng = sat.NewPortfolio(sat.DefaultPortfolioConfigs(cfg, opts.Portfolio))
-	} else {
-		eng = sat.NewWithConfig(cfg)
-	}
+	eng := sat.NewWithConfig(opts.satConfig())
 	return &Solver{
 		sat:      eng,
 		bl:       bitblast.New(eng),
@@ -125,9 +106,6 @@ func New(opts Options) *Solver {
 
 // Assert adds a formula to the solver.
 func (s *Solver) Assert(e expr.BoolExpr) {
-	if s.rn != nil {
-		e = expr.RenameBool(e, s.rn.in)
-	}
 	flat := s.elim(e).(expr.BoolExpr)
 	s.recordVars(flat)
 	s.bl.Assert(flat)
@@ -139,38 +117,18 @@ func (s *Solver) Assert(e expr.BoolExpr) {
 // relaxed. Scoped assertions cannot be retracted, but an unused scope costs
 // only its (shared, cached) CNF.
 func (s *Solver) AssertScoped(e expr.BoolExpr) Handle {
-	if s.rn != nil {
-		e = expr.RenameBool(e, s.rn.in)
-	}
 	s.capture = make(map[string]bool)
 	flat := s.elim(e).(expr.BoolExpr)
 	s.recordVars(flat)
 	names := make([]string, 0, len(s.capture))
 	for n := range s.capture {
-		names = append(names, s.rnOut(n))
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	s.capture = nil
 	act := sat.MkLit(s.sat.NewVar(), false)
 	s.bl.AssertImplied(act, flat)
 	return Handle{act: act, names: names, valid: true}
-}
-
-// rnIn translates a caller-space name into the solver's internal space;
-// identity for solvers not built from a shape-cache prototype.
-func (s *Solver) rnIn(name string) string {
-	if s.rn == nil {
-		return name
-	}
-	return s.rn.in(name)
-}
-
-// rnOut translates an internal name back into caller space.
-func (s *Solver) rnOut(name string) string {
-	if s.rn == nil {
-		return name
-	}
-	return s.rn.out(name)
 }
 
 // CheckUnder runs the SAT search with the given scoped assertions active.
@@ -404,11 +362,6 @@ type Stats struct {
 	// memory, the §5-style blowup this layer makes observable).
 	AckermannReads       int64
 	AckermannConstraints int64
-
-	// SharedClauses counts learnt clauses imported from the portfolio's
-	// clause-share pool, summed over all workers. Always 0 for the classic
-	// single-solver backend.
-	SharedClauses int64
 }
 
 // Sub returns the counter deltas st - prev.
@@ -421,7 +374,6 @@ func (st Stats) Sub(prev Stats) Stats {
 		BlastMisses:          st.BlastMisses - prev.BlastMisses,
 		AckermannReads:       st.AckermannReads - prev.AckermannReads,
 		AckermannConstraints: st.AckermannConstraints - prev.AckermannConstraints,
-		SharedClauses:        st.SharedClauses - prev.SharedClauses,
 	}
 }
 
@@ -437,35 +389,12 @@ func (s *Solver) Stats() Stats {
 		BlastMisses:          cs.Misses(),
 		AckermannReads:       int64(s.nreads),
 		AckermannConstraints: s.ackConstraints,
-		SharedClauses:        ss.SharedIn,
 	}
-}
-
-// LastWinner reports which portfolio worker decided the previous check
-// (1-based), or 0 when the backend is a single solver or the check returned
-// Unknown. The telemetry layer records it per query.
-func (s *Solver) LastWinner() int {
-	if p, ok := s.sat.(*sat.Portfolio); ok {
-		return p.LastWinner()
-	}
-	return 0
-}
-
-// PortfolioWins returns the per-worker verdict tallies of the portfolio
-// backend, or nil for a single-solver backend.
-func (s *Solver) PortfolioWins() []int64 {
-	if p, ok := s.sat.(*sat.Portfolio); ok {
-		return p.Wins()
-	}
-	return nil
 }
 
 // Model extracts the current satisfying assignment, including reconstructed
 // memory images for every memory variable that was read.
 func (s *Solver) Model() *expr.Assignment {
-	// Build the assignment in the solver's internal name space first — the
-	// read address expressions evaluated below live there — and translate
-	// the keys to caller space at the end.
 	a := expr.NewAssignment()
 	for name := range s.bvVars {
 		if s.bl.HasVar(name) {
@@ -483,20 +412,7 @@ func (s *Solver) Model() *expr.Assignment {
 		}
 		a.Mem[memName] = mm
 	}
-	if s.rn == nil {
-		return a
-	}
-	out := expr.NewAssignment()
-	for name, v := range a.BV {
-		out.BV[s.rn.out(name)] = v
-	}
-	for name, v := range a.Bool {
-		out.Bool[s.rn.out(name)] = v
-	}
-	for name, mm := range a.Mem {
-		out.Mem[s.rn.out(name)] = mm
-	}
-	return out
+	return a
 }
 
 // VarNames returns the sorted names of all bitvector variables known to the
@@ -504,7 +420,7 @@ func (s *Solver) Model() *expr.Assignment {
 func (s *Solver) VarNames() []string {
 	names := make([]string, 0, len(s.bvVars))
 	for n := range s.bvVars {
-		names = append(names, s.rnOut(n))
+		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
@@ -514,8 +430,8 @@ func (s *Solver) VarNames() []string {
 // given memory, in introduction order.
 func (s *Solver) ReadVarNames(mem string) []string {
 	var names []string
-	for _, ri := range s.reads[s.rnIn(mem)] {
-		names = append(names, s.rnOut(ri.v.Name))
+	for _, ri := range s.reads[mem] {
+		names = append(names, ri.v.Name)
 	}
 	return names
 }
@@ -527,7 +443,6 @@ func (s *Solver) ReadVarNames(mem string) []string {
 func (s *Solver) BlockVars(names []string) bool {
 	var clause []sat.Lit
 	for _, name := range names {
-		name = s.rnIn(name)
 		if !s.bl.HasVar(name) {
 			continue
 		}
@@ -561,7 +476,6 @@ func (s *Solver) BlockVarsUnder(h Handle, names []string) bool {
 	}
 	clause := []sat.Lit{h.act.Neg()}
 	for _, name := range names {
-		name = s.rnIn(name)
 		if !s.bl.HasVar(name) {
 			continue
 		}

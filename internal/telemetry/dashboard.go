@@ -163,9 +163,6 @@ const liveHTML = `<!doctype html>
 <h2>solver</h2>
 <div class="tiles" id="solver"></div>
 
-<h2>portfolio win shares</h2>
-<div id="portfolio" class="muted">single-solver campaign</div>
-
 <h2>platform matrix</h2>
 <div id="matrix" class="muted">single-platform campaign</div>
 
@@ -221,18 +218,7 @@ function render(c) {
     tile("query p50 / p99", fmtUS(c.query_p50_us) + " / " + fmtUS(c.query_p99_us)) +
     tile("conflicts", c.conflicts) +
     tile("propagations", c.propagations) +
-    tile("blast hit/miss", c.blast_hits + "/" + c.blast_misses) +
-    ((c.shape_hits || c.shape_misses) ? tile("shape hit/miss", (c.shape_hits||0) + "/" + (c.shape_misses||0)) : "") +
-    ((c.shared_clauses) ? tile("shared clauses", c.shared_clauses) : "");
-
-  const wins = c.portfolio_wins || [];
-  if (wins.length) {
-    const total = wins.reduce((a, b) => a + b, 0) || 1;
-    $("portfolio").innerHTML = wins.map((w, i) =>
-      '<div>w' + (i + 1) + ' <span class="bar" style="width:12rem">' +
-      '<i class="busy" style="width:' + (100 * w / total) + '%"></i></span> ' +
-      w + " (" + (100 * w / total).toFixed(0) + "%)</div>").join("");
-  }
+    tile("blast hit/miss", c.blast_hits + "/" + c.blast_misses);
 
   const plats = c.platforms || [];
   if (plats.length) {

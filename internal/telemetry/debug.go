@@ -39,11 +39,6 @@ type countersJSON struct {
 	Quarantines  int64 `json:"quarantines"`
 	BreakerTrips int64 `json:"breaker_trips"`
 
-	SharedClauses int64   `json:"shared_clauses,omitempty"`
-	PortfolioWins []int64 `json:"portfolio_wins,omitempty"`
-	ShapeHits     int64   `json:"shape_hits,omitempty"`
-	ShapeMisses   int64   `json:"shape_misses,omitempty"`
-
 	ResumedPrograms int64 `json:"resumed_programs,omitempty"`
 	Checkpoints     int64 `json:"checkpoints,omitempty"`
 
@@ -108,10 +103,6 @@ func countersWire(c Counters) countersJSON {
 		Skips:           c.Skips,
 		Quarantines:     c.Quarantines,
 		BreakerTrips:    c.BreakerTrips,
-		SharedClauses:   c.SharedClauses,
-		PortfolioWins:   c.PortfolioWins,
-		ShapeHits:       c.ShapeHits,
-		ShapeMisses:     c.ShapeMisses,
 		ResumedPrograms: c.ResumedPrograms,
 		Checkpoints:     c.Checkpoints,
 	}

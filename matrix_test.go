@@ -17,7 +17,7 @@ import (
 // noise) swept over the three headline platforms.
 func matrixCampaign(t *testing.T) Experiment {
 	t.Helper()
-	e := benchGenCampaign(false)
+	e := goldenMLineCampaign()
 	e.Name = "matrix-mct"
 	e.Programs = 2
 	e.TestsPerProgram = 8
@@ -122,32 +122,27 @@ func TestMatrixGolden(t *testing.T) {
 	}
 }
 
-// TestMatrixStagedMatchesMonolithic: the batch loop lives in the shared
-// Execute stage body, so the two engines must produce identical matrix rows,
-// sequentially and with stage overlap.
-func TestMatrixStagedMatchesMonolithic(t *testing.T) {
-	for _, parallel := range []int{1, 4} {
-		mono := matrixCampaign(t)
-		mono.Monolithic = true
-		mono.Parallel = parallel
-		rm, err := Run(mono)
-		if err != nil {
-			t.Fatal(err)
-		}
-		staged := matrixCampaign(t)
-		staged.Parallel = parallel
-		rs, err := Run(staged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rm.Matrix) != len(rs.Matrix) {
-			t.Fatalf("parallel=%d: row counts differ: %d vs %d", parallel, len(rm.Matrix), len(rs.Matrix))
-		}
-		for i := range rm.Matrix {
-			if platformCounts(rm.Matrix[i]) != platformCounts(rs.Matrix[i]) {
-				t.Errorf("parallel=%d: row %d diverges:\nmonolithic %+v\nstaged     %+v",
-					parallel, i, rm.Matrix[i], rs.Matrix[i])
-			}
+// TestMatrixParallelInvariant: the batch loop lives in the Execute stage
+// body, so stage overlap must not change any matrix row.
+func TestMatrixParallelInvariant(t *testing.T) {
+	seq := matrixCampaign(t)
+	seq.Parallel = 1
+	r1, err := Run(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := matrixCampaign(t)
+	par.Parallel = 4
+	r4, err := Run(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r1.Matrix) != len(r4.Matrix) {
+		t.Fatalf("row counts differ: %d vs %d", len(r1.Matrix), len(r4.Matrix))
+	}
+	for i := range r1.Matrix {
+		if platformCounts(r1.Matrix[i]) != platformCounts(r4.Matrix[i]) {
+			t.Errorf("row %d diverges:\nparallel=1 %+v\nparallel=4 %+v", i, r1.Matrix[i], r4.Matrix[i])
 		}
 	}
 }

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"scamv/internal/arm"
@@ -36,7 +34,6 @@ import (
 	"scamv/internal/logdb"
 	"scamv/internal/micro"
 	"scamv/internal/obs"
-	"scamv/internal/smt"
 	"scamv/internal/stage"
 	"scamv/internal/symexec"
 	"scamv/internal/telemetry"
@@ -125,8 +122,7 @@ type Experiment struct {
 	// deltas, and a verdict event per executed test case — feeding the
 	// -trace JSONL writer, the live -progress line, and the -debug-addr
 	// endpoint. A nil Trace costs one pointer check per instrumentation
-	// site. Both engines (staged and monolithic) emit the same spans, so
-	// trace-derived aggregates are engine-independent.
+	// site.
 	Trace *telemetry.Tracer
 
 	// Platform executes experiments; nil means the simulator (SimPlatform)
@@ -189,46 +185,39 @@ type Experiment struct {
 	// sequential seed stream across the skipped prefix. Set by RunContext.
 	restoredN int
 
-	// restoredShapeHits/Misses are the shape-cache lookup totals replayed
-	// from the restored programs' journaled key lists; added to the live
-	// cache's stats at harvest so resumed totals equal an uninterrupted
-	// run's.
-	restoredShapeHits   int64
-	restoredShapeMisses int64
-
 	// Parallel is the number of programs processed concurrently (<= 1
 	// means sequential). Counts are deterministic regardless of the
 	// setting; only wall-clock TTC varies with scheduling.
 	Parallel int
 
-	// LegacySolver disables the shared-prefix incremental solver and builds
-	// one fresh SMT solver per generator stream, as before the incremental
-	// rework. Kept for A/B benchmarking (see core.Config.Legacy); campaigns
-	// should leave it false.
+	// LegacySolver, Portfolio, SharedCache and Monolithic are removed
+	// solving modes, kept only as sentinels so configurations that still
+	// set them fail loudly: RunContext returns an error naming the first
+	// non-zero one. Every campaign runs the incremental solver on the
+	// staged engine.
 	LegacySolver bool
+	Portfolio    int
+	SharedCache  bool
+	Monolithic   bool
+}
 
-	// Portfolio, when >= 1, races that many diversified CDCL workers per
-	// solver query, first answer wins. Worker 0 is canonical, so campaign
-	// results are byte-identical across portfolio sizes; only wall-clock
-	// generation time changes. 0 keeps the classic single-solver backend.
-	Portfolio int
-
-	// SharedCache enables the campaign-scoped blast/query cache: pair-
-	// relation encodings are computed once per template shape and cloned for
-	// every alpha-equivalent program (same template, different register
-	// allocation), across all concurrent testgen workers. Results are
-	// byte-identical with the cache on or off. Ignored under LegacySolver.
-	SharedCache bool
-
-	// shapeCache is the campaign's shared prototype cache, created by
-	// RunContext when SharedCache is set.
-	shapeCache *smt.ShapeCache
-
-	// Monolithic disables the staged engine and runs the pre-staged
-	// program-level worker pool (no stage overlap, no Result.Stages
-	// metrics). Counts are identical either way; kept for A/B benchmarking
-	// (make bench-campaign). Campaigns should leave it false.
-	Monolithic bool
+// checkRemovedModes rejects a configuration that sets one of the removed
+// solving-mode sentinels, naming the field.
+func (e *Experiment) checkRemovedModes() error {
+	for _, m := range []struct {
+		field string
+		set   bool
+	}{
+		{"LegacySolver", e.LegacySolver},
+		{"Portfolio", e.Portfolio != 0},
+		{"SharedCache", e.SharedCache},
+		{"Monolithic", e.Monolithic},
+	} {
+		if m.set {
+			return fmt.Errorf("scamv: Experiment.%s is a removed solving mode; campaigns run the incremental solver on the staged engine only", m.field)
+		}
+	}
+	return nil
 }
 
 func (e *Experiment) platform() Platform {
@@ -293,8 +282,7 @@ type Result struct {
 	ExeTime time.Duration // total experiment execution time
 
 	// Queries counts solver queries issued during generation (sat + unsat +
-	// given-up); Queries/GenTime is the generation throughput tracked by
-	// BENCH_gen.json.
+	// given-up); Queries/GenTime is the generation throughput.
 	Queries int
 
 	// TTC is the time to the first counterexample (wall clock from the
@@ -314,7 +302,7 @@ type Result struct {
 
 	// Stages is the staged engine's metrics spine: one snapshot per
 	// pipeline stage (items in/out, busy time, queue-wait and backpressure
-	// time), in pipeline order. Empty when Monolithic is set. It tells
+	// time), in pipeline order. It tells
 	// future optimization work which stage to shard or cache next.
 	Stages []stage.Snapshot
 
@@ -331,12 +319,6 @@ type Result struct {
 	Retries             int
 	Timeouts            int
 	BreakerTrips        uint64
-
-	// ShapeHits and ShapeMisses count campaign shape-cache lookups when
-	// Experiment.SharedCache is set (misses = distinct template shapes
-	// encoded; both deterministic per seed). Zero when the cache is off.
-	ShapeHits   int64
-	ShapeMisses int64
 
 	// RestoredPrograms counts the programs restored from a resumed
 	// campaign journal rather than executed in this process; they are
@@ -461,9 +443,6 @@ func (pl *Pipeline) generatorCtx(ctx context.Context, e *Experiment, programSeed
 		Support:         e.Support,
 		MaxConflicts:    e.MaxConflicts,
 		Registers:       pl.Registers,
-		Legacy:          e.LegacySolver,
-		Portfolio:       e.Portfolio,
-		ShapeCache:      e.shapeCache,
 		Trace:           e.Trace,
 		Prog:            p,
 		Ctx:             ctx,
@@ -547,8 +526,7 @@ func (pl *Pipeline) ExecuteTestCase(e *Experiment, tc *core.TestCase, train *cor
 }
 
 // programResult is one program's contribution to the campaign Result,
-// produced by the Execute stage (or by runProgram on the monolithic path)
-// and merged in program order by Collect.
+// produced by the Execute stage and merged in program order by Collect.
 type programResult struct {
 	experiments     int
 	counterexamples int
@@ -572,10 +550,6 @@ type programResult struct {
 	// platforms is the per-platform tally of a matrix campaign, one entry
 	// per Experiment.Platforms spec; nil otherwise. See matrix.go.
 	platforms []platformTally
-
-	// shapeKeys are the program's shape-cache lookups (key hashes in lookup
-	// order), journaled for resume accounting. See core.Generator.ShapeKeys.
-	shapeKeys []uint64
 }
 
 func wordsEqual(a, b []uint32) bool {
@@ -636,11 +610,10 @@ func encodeRoundTrip(prog *arm.Program) (_ *arm.Program, fallback bool) {
 // genOut is the TestGen stage's product for one program: the generated test
 // cases with their per-test generation times and the solver query count.
 type genOut struct {
-	tests     []*core.TestCase
-	durs      []time.Duration
-	genTime   time.Duration
-	queries   int
-	shapeKeys []uint64
+	tests   []*core.TestCase
+	durs    []time.Duration
+	genTime time.Duration
+	queries int
 }
 
 // generateTests is the TestGen stage body: it drives the refinement-guided
@@ -663,7 +636,6 @@ func generateTests(ctx context.Context, e *Experiment, pl *Pipeline, p int) genO
 		out.durs = append(out.durs, d)
 	}
 	out.queries = g.QueriesSat + g.QueriesUnsat + g.QueriesFailed
-	out.shapeKeys = g.ShapeKeys
 	e.Trace.Span("testgen", p, spanStart)
 	return out
 }
@@ -678,10 +650,8 @@ func generateTests(ctx context.Context, e *Experiment, pl *Pipeline, p int) genO
 // K platform runs execute back to back before the next test, on the primary
 // platform first (platform 0, whose verdicts feed the single-platform
 // bookkeeping below) and then on every other platform, tallied per row.
-// Batching lives here in the shared stage body, so the staged and monolithic
-// engines batch identically.
 func executeProgram(ctx context.Context, e *Experiment, pl *Pipeline, p int, g genOut, start time.Time) (*programResult, error) {
-	out := &programResult{genTime: g.genTime, queries: g.queries, firstCETest: -1, shapeKeys: g.shapeKeys}
+	out := &programResult{genTime: g.genTime, queries: g.queries, firstCETest: -1}
 	matrix := e.matrixExps
 	if len(matrix) > 0 {
 		out.platforms = make([]platformTally, len(matrix))
@@ -813,29 +783,6 @@ func executeProgram(ctx context.Context, e *Experiment, pl *Pipeline, p int, g g
 	return out, nil
 }
 
-// runProgram pushes one generated program through the whole pipeline
-// in-line: encode round trip, lift+symexec, test generation, execution.
-// It is the unit of parallelism of the monolithic engine, and it composes
-// exactly the same stage bodies the staged engine wires through channels —
-// which is what keeps the two engines seed-for-seed identical.
-func runProgram(ctx context.Context, e *Experiment, prog *arm.Program, p int, start time.Time) (*programResult, error) {
-	t0 := time.Now()
-	prog, fallback := encodeRoundTrip(prog)
-	e.Trace.Span("encode", p, t0)
-	pl, err := newPipelineTraced(prog, e.Model, e.Trace, p)
-	if err != nil {
-		return nil, err
-	}
-	out, err := executeProgram(ctx, e, pl, p, generateTests(ctx, e, pl, p), start)
-	if err != nil {
-		return nil, err
-	}
-	if fallback {
-		out.encodeFallbacks++
-	}
-	return out, nil
-}
-
 // mergeProgram folds one program's result into the campaign Result. Callers
 // must invoke it in ascending program order: that ordering is what makes
 // counts, the log record sequence, and the first-counterexample index
@@ -888,8 +835,8 @@ func (res *Result) mergeProgram(e *Experiment, p int, out *programResult) error 
 			}
 		}
 	}
-	// Journal the program as it commits: mergeProgram is the in-order merge
-	// point of both engines, so appends arrive in strict program order — the
+	// Journal the program as it commits: mergeProgram is the engine's
+	// in-order merge point, so appends arrive in strict program order — the
 	// contiguity internal/journal enforces. Restored programs (p < restoredN)
 	// were journaled before the restart and are only replayed here.
 	if e.Journal != nil && p >= e.restoredN {
@@ -926,13 +873,14 @@ func Run(cfg Experiment) (*Result, error) {
 // RunContext executes a full experiment campaign under a context: cancelling
 // ctx tears the pipeline down promptly and returns the context's error.
 //
-// By default the campaign runs on the staged engine (runStaged): explicit
-// pipeline stages connected by bounded channels, each with its own worker
-// pool, so test generation for program p+1 overlaps platform execution of
-// program p, with per-stage metrics in Result.Stages. Experiment.Monolithic
-// selects the pre-staged program-level worker pool instead; both engines
-// produce identical counts for a given seed.
+// The campaign runs on the staged engine (runStaged): explicit pipeline
+// stages connected by bounded channels, each with its own worker pool, so
+// test generation for program p+1 overlaps platform execution of program p,
+// with per-stage metrics in Result.Stages.
 func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
+	if err := cfg.checkRemovedModes(); err != nil {
+		return nil, err
+	}
 	e := cfg.WithDefaults()
 	res := &Result{
 		Name:           e.Name,
@@ -945,9 +893,6 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	e.Trace.BeginCampaign(e.Name, e.Programs)
 	if mp, ok := e.Platform.(*MultiPlatform); ok {
 		mp.setTracer(e.Trace)
-	}
-	if e.SharedCache && !e.LegacySolver {
-		e.shapeCache = smt.NewShapeCache()
 	}
 	if err := buildMatrix(&e); err != nil {
 		return nil, err
@@ -968,46 +913,19 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 			return nil, fmt.Errorf("scamv: journal restored %d programs but the campaign runs only %d", len(restored), e.Programs)
 		}
 		// Merge the restored prefix through the same in-order merge step the
-		// engines use, replaying shape-cache accounting from the journaled
-		// key lists (first occurrence = the miss the uninterrupted run paid;
-		// everything later = hit), and teach the live cache the keys so its
-		// rebuilt prototypes still count as hits.
-		var keys []uint64
-		seen := make(map[uint64]bool)
+		// engine uses.
 		e.restoredN = len(restored) // before the merges: it gates re-journaling
 		for _, jr := range restored {
-			out := fromJournalRecord(jr)
-			if e.shapeCache != nil {
-				for _, kh := range out.shapeKeys {
-					if seen[kh] {
-						e.restoredShapeHits++
-					} else {
-						seen[kh] = true
-						e.restoredShapeMisses++
-					}
-					keys = append(keys, kh)
-				}
-			}
-			if err := res.mergeProgram(&e, jr.Prog, out); err != nil {
+			if err := res.mergeProgram(&e, jr.Prog, fromJournalRecord(jr)); err != nil {
 				return nil, err
 			}
 		}
 		res.RestoredPrograms = e.restoredN
 		if e.restoredN > 0 {
 			e.Trace.Resume(e.Name, e.restoredN)
-			if e.shapeCache != nil {
-				e.shapeCache.MarkKnown(keys)
-			}
 		}
 	}
-	start := time.Now()
-	var err error
-	if e.Monolithic {
-		err = runMonolithic(ctx, &e, res, start)
-	} else {
-		err = runStaged(ctx, &e, res, start)
-	}
-	if err != nil {
+	if err := runStaged(ctx, &e, res, time.Now()); err != nil {
 		return nil, err
 	}
 	if e.Drain != nil && e.drainRequested() && res.Programs < e.Programs {
@@ -1025,119 +943,8 @@ func RunContext(ctx context.Context, cfg Experiment) (*Result, error) {
 	if bt, ok := e.Platform.(interface{ BreakerTrips() uint64 }); ok {
 		res.BreakerTrips = bt.BreakerTrips()
 	}
-	if e.shapeCache != nil {
-		st := e.shapeCache.Stats()
-		res.ShapeHits = st.Hits + e.restoredShapeHits
-		res.ShapeMisses = st.Misses + e.restoredShapeMisses
-	}
 	res.DebugAddr = e.Trace.DebugAddr()
 	return res, nil
-}
-
-// runMonolithic is the pre-staged engine: a flat program-level worker pool
-// with an atomic stop protocol, kept for A/B benchmarking against the
-// staged engine (make bench-campaign).
-func runMonolithic(ctx context.Context, e *Experiment, res *Result, start time.Time) error {
-	progRng := rand.New(rand.NewSource(e.Seed))
-	progs := make([]*arm.Program, e.Programs)
-	for p := range progs {
-		t0 := time.Now()
-		// On resume the restored prefix is still generated — the template RNG
-		// is one sequential stream, so programs [restoredN, Programs) only
-		// come out right if the draws for [0, restoredN) happen first — but
-		// its spans are not traced (the work is a fast-forward, not a stage).
-		progs[p] = e.Template.Generate(progRng, p)
-		if p >= e.restoredN {
-			e.Trace.Span("proggen", p, t0)
-		}
-	}
-
-	outs := make([]*programResult, e.Programs)
-	live := e.Programs - e.restoredN
-	workers := e.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > live {
-		workers = live
-	}
-	if workers <= 1 {
-		for p := e.restoredN; p < len(progs); p++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if e.drainRequested() {
-				break
-			}
-			out, err := runProgram(ctx, e, progs[p], p, start)
-			if err != nil {
-				return err
-			}
-			outs[p] = out
-		}
-	} else {
-		var (
-			wg     sync.WaitGroup
-			mu     sync.Mutex
-			runErr error
-			stopAt atomic.Int64 // lowest erroring program index so far
-		)
-		stopAt.Store(int64(len(progs)))
-		idxCh := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for p := range idxCh {
-					// After an error at index q, skip programs above q (their
-					// results would be discarded) but still run lower ones:
-					// indexes are handed out in order, so every index below q
-					// has been handed out and completes, which makes the
-					// reported error the lowest erroring index regardless of
-					// worker scheduling.
-					if int64(p) > stopAt.Load() || ctx.Err() != nil {
-						continue
-					}
-					out, err := runProgram(ctx, e, progs[p], p, start)
-					mu.Lock()
-					if err != nil && int64(p) < stopAt.Load() {
-						runErr = fmt.Errorf("scamv: program %d: %w", p, err)
-						stopAt.Store(int64(p))
-					}
-					outs[p] = out
-					mu.Unlock()
-				}
-			}()
-		}
-		// Drain stops the handout, not the workers: every index already sent
-		// completes and merges, and since indexes go out in order the merged
-		// prefix stays contiguous — exactly what the journal needs to resume.
-		for p := e.restoredN; p < len(progs); p++ {
-			if int64(p) > stopAt.Load() || ctx.Err() != nil || e.drainRequested() {
-				break
-			}
-			idxCh <- p
-		}
-		close(idxCh)
-		wg.Wait()
-		if runErr != nil {
-			return runErr
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-
-	// Merge in program order: deterministic counts and log.
-	for p, out := range outs {
-		if out == nil {
-			continue
-		}
-		if err := res.mergeProgram(e, p, out); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func refinementName(e *Experiment) string {

@@ -2,50 +2,109 @@ package scamv
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"math/rand"
+	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"scamv/internal/arm"
 	"scamv/internal/gen"
+	"scamv/internal/obs"
 )
 
-// TestStagedMatchesMonolithicGoldenMLine is the acceptance gate of the
-// staged-engine rework: seed-for-seed identical campaign counts between the
-// monolithic worker pool and the staged pipeline on the golden MLine
-// campaign (the BENCH_gen.json configuration), sequentially and with
-// stage overlap at Parallel = 4.
-func TestStagedMatchesMonolithicGoldenMLine(t *testing.T) {
-	base := benchGenCampaign(false)
-	base.Programs = 2 // keep the default test run fast; bench-campaign runs it large
-	for _, parallel := range []int{1, 4} {
-		mono := base
-		mono.Monolithic = true
-		mono.Parallel = parallel
-		rm, err := Run(mono)
+// goldenMLineCampaign is the pinned MLine campaign: 8 symbolic paths
+// (TemplateA composed three times), 128 coverage classes, refinement on —
+// the configuration whose per-(pair × class × slot) solver cost the
+// shared-prefix incremental solver targets.
+func goldenMLineCampaign() Experiment {
+	return Experiment{
+		Name:            "bench-gen-mline",
+		Template:        gen.Sequence{Parts: []gen.Template{gen.TemplateA{}, gen.TemplateA{}, gen.TemplateA{}}},
+		Model:           &obs.MCt{Geom: obs.DefaultGeometry, Spec: obs.SpecAll},
+		Refined:         true,
+		Support:         obs.MLine{Geom: obs.DefaultGeometry},
+		Programs:        3,
+		TestsPerProgram: 40,
+		Seed:            2021,
+		MaxConflicts:    200000,
+	}
+}
+
+// stagedGolden is the golden MLine campaign's verdict summary, pinned in
+// testdata/staged_golden.json.
+type stagedGolden struct {
+	Programs            int  `json:"programs"`
+	ProgramsWithCounter int  `json:"programs_with_counter"`
+	Experiments         int  `json:"experiments"`
+	Counterexamples     int  `json:"counterexamples"`
+	Inconclusive        int  `json:"inconclusive"`
+	Queries             int  `json:"queries"`
+	EncodeFallbacks     int  `json:"encode_fallbacks"`
+	Found               bool `json:"found"`
+	FirstCEProgram      int  `json:"first_ce_program"`
+	FirstCETest         int  `json:"first_ce_test"`
+}
+
+func stagedGoldenOf(r *Result) stagedGolden {
+	return stagedGolden{
+		Programs:            r.Programs,
+		ProgramsWithCounter: r.ProgramsWithCounter,
+		Experiments:         r.Experiments,
+		Counterexamples:     r.Counterexamples,
+		Inconclusive:        r.Inconclusive,
+		Queries:             r.Queries,
+		EncodeFallbacks:     r.EncodeFallbacks,
+		Found:               r.Found,
+		FirstCEProgram:      r.FirstCEProgram,
+		FirstCETest:         r.FirstCETest,
+	}
+}
+
+// TestStagedGoldenParallelInvariant pins the golden MLine campaign's
+// counts and first-counterexample index to testdata/staged_golden.json and
+// requires Parallel 1, 2 and 4 to reproduce it exactly: stage overlap
+// changes cost, never verdicts. Regenerate with UPDATE_STAGED_GOLDEN=1 (and
+// say why in CHANGES.md — the default path is meant to stay byte-identical).
+func TestStagedGoldenParallelInvariant(t *testing.T) {
+	const path = "testdata/staged_golden.json"
+	base := goldenMLineCampaign()
+	base.Programs = 2
+	if os.Getenv("UPDATE_STAGED_GOLDEN") != "" {
+		r, err := Run(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		staged := base
-		staged.Parallel = parallel
-		rs, err := Run(staged)
+		data, err := json.MarshalIndent(stagedGoldenOf(r), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rm.Programs != rs.Programs || rm.Experiments != rs.Experiments ||
-			rm.Counterexamples != rs.Counterexamples || rm.Inconclusive != rs.Inconclusive ||
-			rm.Queries != rs.Queries || rm.ProgramsWithCounter != rs.ProgramsWithCounter ||
-			rm.EncodeFallbacks != rs.EncodeFallbacks {
-			t.Errorf("parallel=%d: engines diverge:\nmonolithic %+v\nstaged     %+v", parallel, rm, rs)
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if rm.Found != rs.Found || rm.FirstCEProgram != rs.FirstCEProgram || rm.FirstCETest != rs.FirstCETest {
-			t.Errorf("parallel=%d: first-counterexample index diverges: p%d/t%d vs p%d/t%d",
-				parallel, rm.FirstCEProgram, rm.FirstCETest, rs.FirstCEProgram, rs.FirstCETest)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_STAGED_GOLDEN=1 go test -run TestStagedGolden)", err)
+	}
+	var want stagedGolden
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, parallel := range []int{1, 2, 4} {
+		e := base
+		e.Parallel = parallel
+		r, err := Run(e)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(rm.Stages) != 0 {
-			t.Error("monolithic engine must not report stage metrics")
+		if got := stagedGoldenOf(r); got != want {
+			t.Errorf("parallel=%d: campaign diverges from the golden:\ngot  %+v\nwant %+v", parallel, got, want)
 		}
-		if len(rs.Stages) == 0 {
-			t.Error("staged engine must report stage metrics")
+		if len(r.Stages) == 0 {
+			t.Errorf("parallel=%d: staged engine must report stage metrics", parallel)
 		}
 	}
 }
@@ -97,11 +156,6 @@ func TestRunContextCancelled(t *testing.T) {
 	_, refined := MCtExperiments(gen.TemplateA{}, 8, 10, 11)
 	if _, err := RunContext(ctx, refined); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// The monolithic engine honors cancellation too.
-	refined.Monolithic = true
-	if _, err := RunContext(ctx, refined); !errors.Is(err, context.Canceled) {
-		t.Fatalf("monolithic err = %v, want context.Canceled", err)
 	}
 }
 
@@ -172,5 +226,56 @@ func TestFirstCounterexampleDeterministic(t *testing.T) {
 	unfound := &Result{FirstCEProgram: -1, FirstCETest: -1}
 	if strings.Contains(FormatTable(unfound), "p-1") {
 		t.Error("unfound campaign must render '-' for the first-c.e. cell")
+	}
+}
+
+// countingTemplate counts Generate calls of the wrapped template.
+type countingTemplate struct {
+	gen.Template
+	calls atomic.Int64
+}
+
+func (c *countingTemplate) Generate(r *rand.Rand, idx int) *arm.Program {
+	c.calls.Add(1)
+	return c.Template.Generate(r, idx)
+}
+
+// TestRemovedModesRejected: each removed solving-mode sentinel makes
+// RunContext fail with an error naming the field, before any program is
+// generated.
+func TestRemovedModesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Experiment)
+	}{
+		{"LegacySolver", func(e *Experiment) { e.LegacySolver = true }},
+		{"Portfolio", func(e *Experiment) { e.Portfolio = 2 }},
+		{"SharedCache", func(e *Experiment) { e.SharedCache = true }},
+		{"Monolithic", func(e *Experiment) { e.Monolithic = true }},
+	} {
+		_, refined := MCtExperiments(gen.TemplateA{}, 2, 2, 11)
+		tpl := &countingTemplate{Template: refined.Template}
+		refined.Template = tpl
+		tc.set(&refined)
+		_, err := Run(refined)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s set: err = %v, want an error naming the field", tc.field, err)
+		}
+		if n := tpl.calls.Load(); n != 0 {
+			t.Errorf("%s set: %d programs generated before the error", tc.field, n)
+		}
+	}
+}
+
+// TestFingerprintOmitsRemovedModes: the resume fingerprint no longer
+// carries the removed solving-mode keys.
+func TestFingerprintOmitsRemovedModes(t *testing.T) {
+	base := goldenMLineCampaign()
+	e := base.WithDefaults()
+	fp := journalFingerprint(&e)
+	for _, key := range []string{"legacy_solver", "portfolio", "shared_cache"} {
+		if strings.Contains(fp, `"`+key+`"`) {
+			t.Errorf("fingerprint still carries %q: %s", key, fp)
+		}
 	}
 }

@@ -9,15 +9,14 @@ import (
 )
 
 // traceCampaign is a small refined M_ct campaign for telemetry round trips.
-func traceCampaign(monolithic bool) Experiment {
+func traceCampaign(parallel int) Experiment {
 	_, refined := MCtExperiments(gen.TemplateA{}, 3, 6, 2021)
 	refined.Name = "trace-mct-a"
-	refined.Parallel = 2
-	refined.Monolithic = monolithic
+	refined.Parallel = parallel
 	return refined
 }
 
-// traceCounts aggregates a trace for engine-equivalence checks.
+// traceCounts aggregates a trace for parallel-invariance checks.
 type traceCounts struct {
 	campaigns, spans, queries, verdicts int
 	cex                                 int
@@ -47,11 +46,11 @@ func countTrace(recs []telemetry.Record) traceCounts {
 	return c
 }
 
-func runTraced(t *testing.T, monolithic bool) (*Result, []telemetry.Record, telemetry.Counters) {
+func runTraced(t *testing.T, parallel int) (*Result, []telemetry.Record, telemetry.Counters) {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := telemetry.New(&buf)
-	e := traceCampaign(monolithic)
+	e := traceCampaign(parallel)
 	e.Trace = tr
 	res, err := Run(e)
 	if err != nil {
@@ -71,7 +70,7 @@ func runTraced(t *testing.T, monolithic bool) (*Result, []telemetry.Record, tele
 // agrees record-for-record with the campaign Result: one span per program
 // per stage, one query event per solver query, one verdict per experiment.
 func TestTraceMatchesResult(t *testing.T) {
-	res, recs, snap := runTraced(t, false)
+	res, recs, snap := runTraced(t, 2)
 
 	c := countTrace(recs)
 	if c.campaigns != 1 {
@@ -119,47 +118,44 @@ func TestTraceMatchesResult(t *testing.T) {
 	}
 }
 
-// TestTraceEngineEquivalence checks that the monolithic engine emits the
-// same trace aggregate as the staged engine for the same seed — the
-// telemetry spine must be engine-independent (satellite: -monolithic safety).
-func TestTraceEngineEquivalence(t *testing.T) {
-	resStaged, recsStaged, _ := runTraced(t, false)
-	resMono, recsMono, _ := runTraced(t, true)
+// TestTraceParallelEquivalence checks that a sequential and an overlapped
+// run of the same seed emit the same trace aggregate: the telemetry spine
+// must not depend on scheduling.
+func TestTraceParallelEquivalence(t *testing.T) {
+	res1, recs1, _ := runTraced(t, 1)
+	res4, recs4, _ := runTraced(t, 4)
 
-	if resMono.Experiments != resStaged.Experiments ||
-		resMono.Counterexamples != resStaged.Counterexamples ||
-		resMono.Queries != resStaged.Queries {
-		t.Fatalf("engines diverge before telemetry comparison: %+v vs %+v", resMono, resStaged)
+	if res1.Experiments != res4.Experiments ||
+		res1.Counterexamples != res4.Counterexamples ||
+		res1.Queries != res4.Queries {
+		t.Fatalf("runs diverge before telemetry comparison: %+v vs %+v", res1, res4)
 	}
-	cs, cm := countTrace(recsStaged), countTrace(recsMono)
-	if cs.spans != cm.spans || cs.queries != cm.queries || cs.verdicts != cm.verdicts || cs.cex != cm.cex {
-		t.Errorf("trace shape differs across engines:\nstaged     %+v\nmonolithic %+v", cs, cm)
+	c1, c4 := countTrace(recs1), countTrace(recs4)
+	if c1.spans != c4.spans || c1.queries != c4.queries || c1.verdicts != c4.verdicts || c1.cex != c4.cex {
+		t.Errorf("trace shape differs across Parallel settings:\nparallel=1 %+v\nparallel=4 %+v", c1, c4)
 	}
-	for stage, n := range cs.spanStages {
-		if cm.spanStages[stage] != n {
-			t.Errorf("stage %s: %d staged spans vs %d monolithic", stage, n, cm.spanStages[stage])
+	for stage, n := range c1.spanStages {
+		if c4.spanStages[stage] != n {
+			t.Errorf("stage %s: %d spans at parallel=1 vs %d at parallel=4", stage, n, c4.spanStages[stage])
 		}
 	}
-	if len(resMono.Stages) != 0 {
-		t.Error("monolithic result should have no stage spine")
+	for status, n := range c1.statuses {
+		if c4.statuses[status] != n {
+			t.Errorf("status %s: %d queries at parallel=1 vs %d at parallel=4", status, n, c4.statuses[status])
+		}
 	}
-	// The monolithic trace still supports the progress line via the
-	// program-level fallback (and busy shares once spans exist).
-	var tr telemetry.Counters
-	tr.Programs, tr.TotalPrograms = int64(resMono.Programs), 3
-	_ = telemetry.RenderProgress(tr, telemetry.Counters{}, 0)
 }
 
 // TestTracingDoesNotPerturbCounts ensures an attached tracer leaves the
 // campaign's deterministic counts untouched (observation must not refine
 // the observed system, as it were).
 func TestTracingDoesNotPerturbCounts(t *testing.T) {
-	plain := traceCampaign(false)
+	plain := traceCampaign(2)
 	res0, err := Run(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, _, _ := runTraced(t, false)
+	res1, _, _ := runTraced(t, 2)
 	if res0.Experiments != res1.Experiments || res0.Counterexamples != res1.Counterexamples ||
 		res0.Inconclusive != res1.Inconclusive || res0.Queries != res1.Queries ||
 		res0.FirstCEProgram != res1.FirstCEProgram || res0.FirstCETest != res1.FirstCETest {
